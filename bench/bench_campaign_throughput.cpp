@@ -162,10 +162,10 @@ struct PoolRun {
   std::size_t probes = 0;
   std::size_t lost = 0;
   /// Per-shard stage seconds summed across workers (campaign.hpp) plus the
-  /// report-side digest merge, timed here. In frontier mode (the ladder)
-  /// stage.merge already carries the streaming fold, so merge_seconds =
-  /// stage.merge + the (then near-zero) final workload_digests() call; in
-  /// retained mode stage.merge is 0 and the accessor does the whole merge.
+  /// report-side digest read, timed here. stage.merge carries the fold in
+  /// both retention modes (the frontier's streaming fold, or the post-join
+  /// fold of a retained run), so merge_seconds = stage.merge + the
+  /// near-zero workload_digests() copy-out.
   testbed::StageSeconds stage;
   double merge_seconds = 0;
   /// Fraction of the summed per-shard stage time spent building shards —
@@ -449,7 +449,7 @@ PassiveOverhead run_passive_overhead(std::size_t workers) {
       const double wall = wall_seconds_since(start);
       if (passive_best == 0 || wall < passive_best) passive_best = wall;
       if (rep == 0) {
-        for (const testbed::WorkloadDigest& digest :
+        for (const report::WorkloadDigest& digest :
              report.workload_digests()) {
           result.passive_samples +=
               digest.passive_sniffer_samples + digest.passive_app_samples;

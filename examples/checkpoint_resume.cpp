@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  for (const testbed::WorkloadDigest& digest : report.workload_digests()) {
+  for (const report::WorkloadDigest& digest : report.workload_digests()) {
     std::printf("  %-10s median %.2f ms  p90 %.2f ms  (%zu probes, %zu "
                 "lost)\n",
                 tools::grid_name(digest.tool),

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
       const testbed::ScenarioSpec& scenario =
           spec.scenarios[shard.scenario_index];
       if (scenario.congested_phy != congested) continue;
-      for (const testbed::WorkloadDigest& digest : shard.digests) {
+      for (const report::WorkloadDigest& digest : shard.digests) {
         const auto& rtt = digest.reported_rtt_ms;
         table.add_row({tools::to_string(digest.tool),
                        stats::Table::cell(rtt.quantile(0.5)),
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n--- mixed fleet: 4 phones, 4 tools, ONE channel ---\n");
   stats::Table mixed_table({"tool", "median", "p90", "mean", "loss"});
-  for (const testbed::WorkloadDigest& digest :
+  for (const report::WorkloadDigest& digest :
        mixed_report.workload_digests()) {
     const auto& rtt = digest.reported_rtt_ms;
     mixed_table.add_row({tools::to_string(digest.tool),

@@ -5,12 +5,14 @@
 // proves it holds the same campaign (hello: protocol, spec_hash, seed,
 // shard count — any mismatch is rejected loudly), then pulls leases of
 // contiguous scenario-index ranges. Completed shards stream back as ckpt2
-// record lines; the coordinator validates each against the spec (index
-// range, Rng(S).fork(i) seed, CampaignSpec::shard_hash), appends it to its
-// own checkpoint file, and folds the first completion per index through
-// testbed::MergeFrontier in ascending scenario order — so the merged
-// digests are bit-identical to a single-process Campaign::run for any
-// worker count, lease batch size and kill/re-lease schedule.
+// record lines; the coordinator validates each with Campaign::check_record
+// (index range, Rng(S).fork(i) seed, CampaignSpec::shard_hash), appends it
+// to its own checkpoint file, and folds the first completion per index
+// through testbed::MergeFrontier in ascending scenario order — so the
+// merged digests are bit-identical to a single-process Campaign::run for
+// any worker count, lease batch size and kill/re-lease schedule. Resume is
+// not the coordinator's own code: it starts from testbed::plan_resume, the
+// routine Campaign::run starts from, and leases the plan's pending shards.
 //
 // Failure matrix (docs/fabric.md):
 //   worker death (EOF / torn frame)  → revoke its leases, log, re-lease
@@ -70,7 +72,7 @@ class Coordinator {
   /// Serves the campaign to completion: `workers` are already-connected
   /// transports (pipe mode / forked children); `listener`, when non-null,
   /// accepts additional worker processes as they arrive. Returns the merged
-  /// report (frontier mode: digests + totals, no per-shard results).
+  /// report: CampaignReport::totals filled, `shards` empty.
   /// Contract violation when every worker is gone, none can arrive and
   /// shards are still pending.
   [[nodiscard]] testbed::CampaignReport run(

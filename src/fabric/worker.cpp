@@ -23,29 +23,11 @@ Worker::Worker(testbed::CampaignSpec spec, WorkerConfig config)
       config_(config) {}
 
 std::size_t Worker::run(Transport& transport) {
-  // Handshake: prove we hold the same campaign before any work moves.
-  HelloBody hello;
-  hello.spec_hash = campaign_.spec().spec_hash();
-  hello.seed = campaign_.spec().seed;
-  hello.shard_count = campaign_.scenario_count();
-  write_frame(transport, FrameType::hello, encode_hello(hello));
-
-  Frame frame;
-  expects(read_frame(transport, frame),
-          "fabric worker: coordinator closed during handshake");
-  if (frame.type == FrameType::reject) {
-    expects(false, ("fabric worker: coordinator rejected handshake: " +
-                    frame.payload)
-                       .c_str());
-  }
-  if (frame.type == FrameType::shutdown) return 0;  // nothing to do
-  expects(frame.type == FrameType::hello_ok,
-          "fabric worker: unexpected frame during handshake");
-
   // Campaign completion is the coordinator's call, made the instant the
   // last shard_done arrives — which may be ours, with more frames (our
   // lease_done, our next lease_request) still in flight when it sends
-  // shutdown and closes. A failed send therefore checks the read side
+  // shutdown and closes; a worker that connects late may even find the
+  // campaign already over. A failed send therefore checks the read side
   // first: a buffered shutdown turns the failure into a graceful exit;
   // anything else (the coordinator actually died) stays loud.
   auto send_or_finished = [&transport](FrameType type,
@@ -62,6 +44,25 @@ std::size_t Worker::run(Transport& transport) {
       throw;
     }
   };
+
+  // Handshake: prove we hold the same campaign before any work moves.
+  HelloBody hello;
+  hello.spec_hash = campaign_.spec().spec_hash();
+  hello.seed = campaign_.spec().seed;
+  hello.shard_count = campaign_.scenario_count();
+  if (send_or_finished(FrameType::hello, encode_hello(hello))) return 0;
+
+  Frame frame;
+  expects(read_frame(transport, frame),
+          "fabric worker: coordinator closed during handshake");
+  if (frame.type == FrameType::reject) {
+    expects(false, ("fabric worker: coordinator rejected handshake: " +
+                    frame.payload)
+                       .c_str());
+  }
+  if (frame.type == FrameType::shutdown) return 0;  // nothing to do
+  expects(frame.type == FrameType::hello_ok,
+          "fabric worker: unexpected frame during handshake");
 
   // One warm context for every lease this worker ever serves — the same
   // reuse (and the same bits) as an in-process pool worker's claim stream.

@@ -12,10 +12,10 @@
 // tiebreak, not a data decision — what matters is that every consumer picks
 // the SAME winner, which is why the rule lives in exactly one place.
 //
-// Users: report::compact_checkpoint (both overloads), Campaign::run's
-// buffered checkpoint restore, and the fabric coordinator's restore path.
-// The frontier's restored-slot feed reads a compact_checkpoint output file,
-// so it inherits the rule through the compaction rather than re-deriving it.
+// Users: report::compact_checkpoint (both overloads). The one resume path
+// of Campaign::run and the fabric coordinator (testbed::plan_resume) reads
+// restored shards back from a compact_checkpoint output file, so it
+// inherits the rule through the compaction rather than re-deriving it.
 #pragma once
 
 #include <cstddef>

@@ -4,18 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "core/layer_sample.hpp"
 #include "passive/per_app.hpp"
 #include "passive/pping.hpp"
-#include "report/latest_wins.hpp"
 #include "report/sample_buffer_sink.hpp"
 #include "sim/contracts.hpp"
 #include "sim/random.hpp"
@@ -321,80 +317,31 @@ stats::Cdf CampaignReport::rtt_cdf() const {
   return stats::Cdf(merged(&ShardResult::reported_rtt_ms));
 }
 
-std::vector<WorkloadDigest> CampaignReport::workload_digests() const {
-  // Frontier mode already folded every completed shard in ascending
-  // scenario order as it retired; just copy the accumulators out.
-  if (frontier.active) return frontier.workloads.snapshot();
-  // Shards are already in scenario-index order, and each shard's digests
-  // are in ascending ToolKind order, so folding front to back gives the
-  // deterministic scenario-order merge the determinism contract requires.
-  // (A checkpoint-restored shard's digests deserialize bit-identically, so
-  // the fold cannot tell a resumed campaign from an uninterrupted one.)
-  report::WorkloadFold fold;
-  for (const ShardResult& shard : shards) {
-    for (const WorkloadDigest& digest : shard.digests) {
-      fold.slot(digest.tool).merge(digest);
-    }
-  }
-  return fold.take();
+std::vector<report::WorkloadDigest> CampaignReport::workload_digests()
+    const {
+  return totals.workloads.snapshot();
 }
 
-std::size_t CampaignReport::shard_count() const {
-  return frontier.active ? frontier.shard_count : shards.size();
-}
+std::size_t CampaignReport::shard_count() const { return totals.shard_count; }
 
 std::size_t CampaignReport::completed_shards() const {
-  if (frontier.active) return frontier.completed;
-  std::size_t completed = 0;
-  for (const ShardResult& shard : shards) {
-    if (shard.completed) ++completed;
-  }
-  return completed;
+  return totals.completed;
 }
 
 stats::MergingDigest CampaignReport::rtt_digest() const {
   stats::MergingDigest all;
-  for (const WorkloadDigest& digest : workload_digests()) {
+  for (const report::WorkloadDigest& digest : workload_digests()) {
     all.merge(digest.reported_rtt_ms);
   }
   return all;
 }
 
-std::size_t CampaignReport::total_probes() const {
-  if (frontier.active) return frontier.probes;
-  std::size_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.probes_sent;
-  return total;
-}
-
-std::size_t CampaignReport::total_lost() const {
-  if (frontier.active) return frontier.lost;
-  std::size_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.probes_lost;
-  return total;
-}
-
-std::uint64_t CampaignReport::total_frames() const {
-  if (frontier.active) return frontier.frames;
-  std::uint64_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.frames_on_air;
-  return total;
-}
-
-std::uint64_t CampaignReport::total_events() const {
-  if (frontier.active) return frontier.events;
-  std::uint64_t total = 0;
-  for (const ShardResult& shard : shards) total += shard.events_fired;
-  return total;
-}
-
+std::size_t CampaignReport::total_probes() const { return totals.probes; }
+std::size_t CampaignReport::total_lost() const { return totals.lost; }
+std::uint64_t CampaignReport::total_frames() const { return totals.frames; }
+std::uint64_t CampaignReport::total_events() const { return totals.events; }
 double CampaignReport::total_sim_seconds() const {
-  // The frontier accumulated this double sum in the same ascending shard
-  // order as this loop, so the two modes agree to the last bit.
-  if (frontier.active) return frontier.sim_seconds;
-  double total = 0;
-  for (const ShardResult& shard : shards) total += shard.sim_seconds;
-  return total;
+  return totals.sim_seconds;
 }
 
 Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
@@ -423,6 +370,17 @@ ScenarioSpec Campaign::scenario_at(std::size_t index) const {
   expects(index < scenario_count(), "Campaign scenario index out of range");
   return spec_.grid.has_value() ? spec_.grid->at(index)
                                 : spec_.scenarios[index];
+}
+
+void Campaign::check_record(const report::ShardCheckpoint& record) const {
+  const std::size_t index = record.summary.info.scenario_index;
+  expects(index < scenario_count(),
+          "checkpoint does not match this campaign (shard out of range)");
+  expects(record.summary.info.shard_seed == shard_seed(spec_.seed, index),
+          "checkpoint does not match this campaign (seed mismatch)");
+  expects(record.spec_hash == spec_.shard_hash(scenario_at(index)),
+          "checkpoint does not match this campaign (spec edited since the "
+          "checkpoint was written)");
 }
 
 std::uint64_t Campaign::shard_seed(std::uint64_t campaign_seed,
@@ -793,143 +751,63 @@ struct alignas(64) ClaimCursor {
 /// false-share their hot counters while shards retire.
 struct alignas(64) WorkerLane {
   StageSeconds stage;
-  std::size_t shards_run = 0;
 };
+
+/// The retained-mode fold, kept independent of MergeFrontier on purpose: a
+/// plain ascending loop over the completed shards that copy-merges their
+/// digests. It visits the same shards in the same order as the frontier,
+/// so both produce the same bits — which is what lets a retained run serve
+/// as the reference every frontier run is checked against. Returns the
+/// fold's wall seconds.
+double fold_retained(CampaignReport& report) {
+  const auto start = std::chrono::steady_clock::now();
+  CampaignReport::FoldedTotals& totals = report.totals;
+  for (const ShardResult& shard : report.shards) {
+    if (!shard.completed) continue;
+    ++totals.completed;
+    totals.probes += shard.probes_sent;
+    totals.lost += shard.probes_lost;
+    totals.frames += shard.frames_on_air;
+    totals.events += shard.events_fired;
+    totals.sim_seconds += shard.sim_seconds;
+    for (const report::WorkloadDigest& digest : shard.digests) {
+      totals.workloads.slot(digest.tool).merge(digest);
+    }
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 }  // namespace
 
 CampaignReport Campaign::run(std::size_t workers) {
   const std::size_t shard_count = scenario_count();
-  const bool frontier_mode = !spec_.retain_shards;
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
 
   CampaignReport report;
-  report.frontier.active = frontier_mode;
-  report.frontier.shard_count = shard_count;
-  if (!frontier_mode) report.shards.resize(shard_count);
+  report.totals.shard_count = shard_count;
+  ResumePlan plan = plan_resume(*this);
+  report.stage.restore = plan.restore_seconds;
+  const std::vector<std::size_t>& pending = plan.pending;
 
-  // Checkpoint resume: restore every shard already on disk (digests +
-  // counters deserialize bit-identically), compact the file back to one
-  // line per shard, then append newly completed shards to it. Buffered
-  // mode materializes the records straight into report.shards; frontier
-  // mode only *validates* them here (streaming, one record in memory) and
-  // re-reads the compacted file — ascending, one record per shard — as the
-  // fold reaches each restored index.
-  std::shared_ptr<report::CheckpointWriter> checkpoint;
-  std::vector<bool> restored_set;
-  std::unique_ptr<report::CheckpointReader> restored_feed;
-  if (!spec_.checkpoint_path.empty()) {
-    const auto restore_start = std::chrono::steady_clock::now();
-    if (frontier_mode) {
-      restored_set.assign(shard_count, false);
-      std::size_t restored_count = 0;
-      report::for_each_checkpoint(
-          spec_.checkpoint_path, [&](report::ShardCheckpoint&& record) {
-            const std::size_t index = record.summary.info.scenario_index;
-            expects(index < shard_count,
-                    "checkpoint does not match this campaign (shard out of "
-                    "range)");
-            expects(
-                record.summary.info.shard_seed == shard_seed(spec_.seed, index),
-                "checkpoint does not match this campaign (seed mismatch)");
-            expects(
-                record.spec_hash == spec_.shard_hash(scenario_at(index)),
-                "checkpoint does not match this campaign (spec edited since "
-                "the checkpoint was written)");
-            if (!restored_set[index]) {
-              restored_set[index] = true;
-              ++restored_count;
-            }
-          });
-      if (restored_count > 0) {
-        report::compact_checkpoint(spec_.checkpoint_path);
-      }
-      restored_feed =
-          std::make_unique<report::CheckpointReader>(spec_.checkpoint_path);
-    } else {
-      std::vector<report::ShardCheckpoint> records =
-          report::load_checkpoint(spec_.checkpoint_path);
-      for (report::ShardCheckpoint& record : records) {
-        const std::size_t index = record.summary.info.scenario_index;
-        expects(index < shard_count,
-                "checkpoint does not match this campaign (shard out of range)");
-        expects(record.summary.info.shard_seed == shard_seed(spec_.seed, index),
-                "checkpoint does not match this campaign (seed mismatch)");
-        expects(record.spec_hash == spec_.shard_hash(scenario_at(index)),
-                "checkpoint does not match this campaign (spec edited since "
-                "the checkpoint was written)");
-      }
-      // Validation passed: rewrite the file to exactly one record per
-      // completed shard (drops torn fragments and duplicate re-runs), so a
-      // many-times-resumed sweep's checkpoint stays O(completed shards)
-      // instead of growing with every kill.
-      if (!records.empty()) {
-        report::compact_checkpoint(spec_.checkpoint_path, records);
-      }
-      // Duplicate records (a shard re-run after a kill) resolve through the
-      // shared last-wins rule — the same LatestWinsMerge compaction just
-      // applied to the file, so memory and disk agree on the winner.
-      report::LatestWinsMerge<report::ShardCheckpoint*> latest;
-      for (report::ShardCheckpoint& record : records) {
-        latest.claim(record.summary.info.scenario_index, &record);
-      }
-      latest.for_each([&](std::size_t index, report::ShardCheckpoint* record) {
-        report.shards[index] = shard_result_from_checkpoint(std::move(*record));
-      });
-    }
-    checkpoint = std::make_shared<report::CheckpointWriter>(
-        spec_.checkpoint_path);
-    report.stage.restore = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() -
-                               restore_start)
-                               .count();
-  }
-
-  std::vector<std::size_t> pending;
-  pending.reserve(std::min<std::size_t>(
-      shard_count, spec_.max_shards > 0 ? spec_.max_shards : shard_count));
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    const bool already_done = frontier_mode
-                                  ? (!restored_set.empty() && restored_set[i])
-                                  : report.shards[i].completed;
-    if (already_done) continue;
-    pending.push_back(i);
-    // The kill / incremental-sweep knob: cap how many pending shards this
-    // invocation executes (the cut is the scenario-order prefix, so
-    // resumes walk the campaign front to back).
-    if (spec_.max_shards > 0 && pending.size() == spec_.max_shards) break;
-  }
-
-  // Frontier setup: classify every index so the in-order fold knows what
-  // to wait for (fresh), what to pull from the compacted checkpoint
-  // (restored) and what to step over (the capped tail).
-  std::unique_ptr<MergeFrontier> frontier;
-  if (frontier_mode) {
-    std::vector<MergeFrontier::Slot> slots(shard_count,
-                                           MergeFrontier::Slot::skipped);
-    if (!restored_set.empty()) {
-      for (std::size_t i = 0; i < shard_count; ++i) {
-        if (restored_set[i]) slots[i] = MergeFrontier::Slot::restored;
+  // Frontier mode folds restored and fresh shards as the cursor reaches
+  // them; retained mode materializes the restored ones now and folds
+  // everything after the join.
+  std::optional<MergeFrontier> frontier;
+  if (spec_.retain_shards) {
+    report.shards.resize(shard_count);
+    for (std::size_t i = 0; i < shard_count; ++i) {
+      if (plan.slots[i] == MergeFrontier::Slot::restored) {
+        report.shards[i] = plan.restored(i);
       }
     }
-    for (const std::size_t index : pending) {
-      slots[index] = MergeFrontier::Slot::fresh;
-    }
-    auto feed = [reader = restored_feed.get()](std::size_t expected_index) {
-      report::ShardCheckpoint record;
-      expects(reader != nullptr && reader->next(record),
-              "campaign frontier: compacted checkpoint exhausted before all "
-              "restored shards were folded");
-      expects(record.summary.info.scenario_index == expected_index,
-              "campaign frontier: compacted checkpoint out of order");
-      return shard_result_from_checkpoint(std::move(record));
-    };
-    frontier = std::make_unique<MergeFrontier>(std::move(slots),
-                                               std::move(feed),
-                                               report.frontier);
+  } else {
+    frontier.emplace(std::move(plan.slots), std::move(plan.restored),
+                     report.totals);
   }
 
   // Never spawn more threads than pending shards: a tiny incremental tick
@@ -937,33 +815,6 @@ CampaignReport Campaign::run(std::size_t workers) {
   // would find the claim cursor already exhausted.
   workers = std::min(workers, std::max<std::size_t>(pending.size(), 1));
   std::vector<std::exception_ptr> failures(pending.size());
-
-  if (workers <= 1) {
-    // One warm shard context for the whole serial sweep (the pool below
-    // gives each worker its own).
-    ShardContext context;
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      const std::size_t index = pending[p];
-      if (frontier != nullptr) {
-        try {
-          frontier->submit(index,
-                           run_shard(index, /*run_sequence=*/p, checkpoint,
-                                     &report.stage, context));
-        } catch (...) {
-          frontier->abandon(index);
-          throw;
-        }
-      } else {
-        report.shards[index] = run_shard(index, /*run_sequence=*/p,
-                                         checkpoint, &report.stage, context);
-      }
-    }
-    if (frontier != nullptr) {
-      frontier->finalize();
-      report.stage.merge = frontier->fold_seconds();
-    }
-    return report;
-  }
 
   // Work-stealing by atomic cursor: each worker owns the slots it claims,
   // so no locking is needed; determinism comes from per-shard seeding, not
@@ -976,48 +827,54 @@ CampaignReport Campaign::run(std::size_t workers) {
       pending.size() / (workers * 8), std::size_t{1}, std::size_t{16});
   ClaimCursor cursor;
   std::vector<WorkerLane> lanes(workers);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([this, &cursor, &report, &failures, &pending,
-                       &checkpoint, &frontier, &lane = lanes[w], batch] {
-      // Each worker owns one warm context for its whole claim stream:
-      // every shard after the first reuses the simulator, node graph,
-      // tools and sink scratch (per-shard seeding keeps results
-      // independent of which worker ran what).
-      ShardContext context;
-      while (true) {
-        const std::size_t begin =
-            cursor.next.fetch_add(batch, std::memory_order_relaxed);
-        if (begin >= pending.size()) return;
-        const std::size_t end = std::min(begin + batch, pending.size());
-        for (std::size_t p = begin; p < end; ++p) {
-          const std::size_t index = pending[p];
-          try {
-            ShardResult result = run_shard(index, /*run_sequence=*/p,
-                                           checkpoint, &lane.stage, context);
-            ++lane.shards_run;
-            if (frontier != nullptr) {
-              // Retire into the in-order fold (never blocks: either this
-              // worker advances the cursor or the result parks until the
-              // cursor arrives); the shard's digests are freed as soon as
-              // the fold consumes them.
-              frontier->submit(index, std::move(result));
-            } else {
-              report.shards[index] = std::move(result);
-            }
-          } catch (...) {
-            failures[p] = std::current_exception();
-            // Release the slot so the fold cannot stall behind a failed
-            // shard; the exception is rethrown below after the join.
-            if (frontier != nullptr) frontier->abandon(index);
+  auto work = [&](WorkerLane& lane) {
+    // Each worker owns one warm context for its whole claim stream: every
+    // shard after the first reuses the simulator, node graph, tools and
+    // sink scratch (per-shard seeding keeps results independent of which
+    // worker ran what).
+    ShardContext context;
+    while (true) {
+      const std::size_t begin =
+          cursor.next.fetch_add(batch, std::memory_order_relaxed);
+      if (begin >= pending.size()) return;
+      const std::size_t end = std::min(begin + batch, pending.size());
+      for (std::size_t p = begin; p < end; ++p) {
+        const std::size_t index = pending[p];
+        try {
+          ShardResult result = run_shard(index, /*run_sequence=*/p,
+                                         plan.checkpoint, &lane.stage,
+                                         context);
+          // Retire: the frontier folds the result (or parks it until the
+          // cursor arrives) and frees its digests; a retained run keeps it
+          // for the post-join fold.
+          if (spec_.retain_shards) {
+            report.shards[index] = std::move(result);
+          } else {
+            frontier->submit(index, std::move(result));
           }
+        } catch (...) {
+          // Later shards still run; the failure is rethrown after the
+          // loop. A frontier slot is released so the fold cannot stall.
+          failures[p] = std::current_exception();
+          if (!spec_.retain_shards) frontier->abandon(index);
         }
       }
-    });
+    }
+  };
+  if (workers == 1) {
+    work(lanes.front());
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (WorkerLane& lane : lanes) {
+      pool.emplace_back([&work, &lane] { work(lane); });
+    }
+    for (std::thread& worker : pool) worker.join();
   }
-  for (std::thread& worker : pool) worker.join();
-  if (frontier != nullptr) {
+
+  if (spec_.retain_shards) {
+    report.stage.merge = fold_retained(report);
+  } else {
     frontier->finalize();
     report.stage.merge = frontier->fold_seconds();
   }

@@ -19,8 +19,15 @@
 //     keep_samples, SampleBufferSink (the legacy raw vectors) back the
 //     ShardResult/CampaignReport compatibility surface; CampaignSpec::sinks
 //     plugs arbitrary consumers (JSONL export, checkpointing) into the same
-//     stream. After the pool joins, shards merge in scenario-index order.
-//     With keep_samples=false campaign memory is O(shards), not O(samples).
+//     stream. With keep_samples=false campaign memory is O(shards), not
+//     O(samples).
+//   * Every run takes one path: plan_resume() (merge_frontier.hpp) restores
+//     and compacts the checkpoint and classifies the shards, one worker body
+//     executes the pending ones (inline on the caller with one worker), and
+//     every report reads its totals from CampaignReport::totals, folded in
+//     ascending scenario order. retain_shards only picks where a finished
+//     shard retires: into the merge frontier as it completes, or into
+//     CampaignReport::shards for a reference fold after the join.
 //   * CampaignSpec::checkpoint_path persists every completed shard, so a
 //     killed sweep resumes from the last completed shard bit-identically.
 //
@@ -134,17 +141,18 @@ struct CampaignSpec {
   /// behind kill/resume tests and incremental ("N shards per cron tick")
   /// checkpointed sweeps.
   std::size_t max_shards = 0;
-  /// When false, run() switches to the *merge frontier*: each completed (or
-  /// checkpoint-restored) shard is folded into campaign-level accumulators
-  /// as soon as every lower-indexed shard has folded, then its digests are
-  /// freed — peak report memory is O(workers + reorder window), not
-  /// O(shards), the 10^5–10^6-shard mode. CampaignReport::shards stays
-  /// empty then (use the digest/total accessors and shard_count()); the
-  /// fold order is the same ascending-scenario order as the buffered merge,
-  /// so the folded digests are bit-identical for any worker count and
-  /// across kill/resume. Requires keep_samples=false (raw sample vectors
-  /// cannot be folded away). Default true preserves the legacy per-shard
-  /// ShardResult surface for small sweeps.
+  /// When false, each completed (or checkpoint-restored) shard retires into
+  /// the *merge frontier*: it is folded into CampaignReport::totals as soon
+  /// as every lower-indexed shard has folded, then its digests are freed —
+  /// peak report memory is O(workers + reorder window), not O(shards), the
+  /// 10^5–10^6-shard mode. CampaignReport::shards stays empty then (use the
+  /// digest/total accessors and shard_count()). When true, shards retire
+  /// into CampaignReport::shards and run() folds them after the join. Both
+  /// folds visit shards in ascending scenario order, so the totals are
+  /// bit-identical for any worker count and across kill/resume. false
+  /// requires keep_samples=false (raw sample vectors cannot be folded
+  /// away); the default keeps the per-shard ShardResult surface for small
+  /// sweeps.
   bool retain_shards = true;
 
   /// FNV-1a fingerprint of everything that determines one shard's outcome
@@ -164,19 +172,12 @@ struct CampaignSpec {
   [[nodiscard]] std::uint64_t spec_hash() const;
 };
 
-/// The per-workload streaming accumulator now lives in the report::
-/// subsystem (it is what DigestSink / CheckpointSink emit); this alias keeps
-/// the historical testbed:: spelling working.
-using WorkloadDigest = report::WorkloadDigest;
-
 /// Wall-clock seconds spent per campaign pipeline stage. Per-shard stages
 /// (build / simulate / sink) are summed across workers — with W workers the
 /// sum can exceed the campaign's wall time W-fold; the ratios are what
 /// matter (docs/campaigns.md, "Reading the BENCH numbers"). `restore` is
 /// the serial checkpoint load/compact phase of Campaign::run; `merge` is
-/// the frontier fold. In buffered mode (retain_shards=true) the digest
-/// merge happens lazily in the report accessors instead, so `merge` stays 0
-/// and benches time the accessor themselves.
+/// the fold into CampaignReport::totals, in either retention mode.
 struct StageSeconds {
   /// Scenario materialization + sink-chain setup + Testbed
   /// construction/rebuild.
@@ -187,9 +188,9 @@ struct StageSeconds {
   /// Canonical event flush through the sink chain (digest folds, JSONL
   /// blocks, checkpoint append) + shard_finished delivery.
   double sink = 0;
-  /// In-order frontier fold of completed shards into the campaign
-  /// accumulators (retain_shards=false only; runs on whichever worker
-  /// advances the fold cursor).
+  /// In-order fold of completed shards into the campaign accumulators:
+  /// the frontier fold (retain_shards=false; runs on whichever worker
+  /// advances the fold cursor) or the post-join reference fold.
   double merge = 0;
   /// Checkpoint load, validation and compaction (serial, resume only).
   double restore = 0;
@@ -225,7 +226,7 @@ struct ShardResult {
   /// Streaming per-workload accumulators, ordered by ToolKind enumerator
   /// value; only kinds the shard actually ran appear. Always populated,
   /// independent of keep_samples.
-  std::vector<WorkloadDigest> digests;
+  std::vector<report::WorkloadDigest> digests;
   /// Work accounting (throughput benches).
   std::uint64_t frames_on_air = 0;
   std::uint64_t events_fired = 0;
@@ -234,22 +235,20 @@ struct ShardResult {
 
 /// Merged campaign outcome; shards are ordered by scenario index.
 struct CampaignReport {
-  /// Per-shard results (buffered mode). Empty when the campaign ran with
-  /// CampaignSpec::retain_shards=false — the frontier fold consumed each
-  /// shard into `frontier` instead of retaining it.
+  /// Per-shard results (retain_shards=true). Empty when the campaign ran
+  /// with CampaignSpec::retain_shards=false — the frontier fold consumed
+  /// each shard into `totals` instead of retaining it.
   std::vector<ShardResult> shards;
   /// Per-stage time breakdown of the run (see StageSeconds).
   StageSeconds stage;
 
-  /// Campaign-level accumulators the merge frontier folds completed shards
-  /// into, in ascending scenario-index order — the same order (and thus the
-  /// same bits) as the buffered accessors' post-join merge. Only populated
-  /// when `active` (retain_shards=false); the accessors below read from it
-  /// automatically then.
+  /// Campaign-level accumulators every completed shard is folded into, in
+  /// ascending scenario-index order: by the merge frontier as shards retire
+  /// (retain_shards=false), or by a plain loop over `shards` after the join
+  /// (retain_shards=true). Same order, same bits; the accessors below read
+  /// only from here.
   struct FoldedTotals {
-    /// True when the campaign ran in frontier mode.
-    bool active = false;
-    /// Total shards in the campaign (shards.size() is 0 in frontier mode).
+    /// Total shards in the campaign (shards.size() when retained).
     std::size_t shard_count = 0;
     /// Shards folded (executed or restored) by this run.
     std::size_t completed = 0;
@@ -261,7 +260,7 @@ struct CampaignReport {
     double sim_seconds = 0;
     /// Per-workload digest accumulators (ascending ToolKind slots).
     report::WorkloadFold workloads;
-  } frontier;
+  } totals;
 
   /// Concatenation of a per-shard sample vector across shards, in scenario
   /// index order (the canonical merge used by the summaries below).
@@ -275,15 +274,13 @@ struct CampaignReport {
 
   /// Per-workload streaming accumulators merged across all shards in
   /// scenario-index order, returned by ascending ToolKind; only kinds that
-  /// ran appear. Works in both keep_samples modes and both retention modes
-  /// (frontier mode reads the already-folded accumulators; bit-identical).
-  [[nodiscard]] std::vector<WorkloadDigest> workload_digests() const;
+  /// ran appear. Works in both keep_samples and both retention modes.
+  [[nodiscard]] std::vector<report::WorkloadDigest> workload_digests() const;
   /// All workloads' reported-RTT digests merged into one distribution (ms).
   [[nodiscard]] stats::MergingDigest rtt_digest() const;
 
-  /// Total shards in the campaign: shards.size() in buffered mode, the
-  /// frontier's shard count otherwise. Use this instead of shards.size()
-  /// in retention-mode-agnostic code.
+  /// Total shards in the campaign. Use this instead of shards.size() in
+  /// retention-mode-agnostic code.
   [[nodiscard]] std::size_t shard_count() const;
 
   /// Shards that actually executed (or were restored from a checkpoint);
@@ -320,9 +317,11 @@ class Campaign {
                                                 std::size_t shard_index);
 
   /// Runs every scenario across `workers` threads (0 = hardware
-  /// concurrency) and merges the results. Deterministic for any worker
-  /// count; a shard's failure (contract violation, deadlock guard) is
-  /// rethrown after the pool joins, lowest shard index first.
+  /// concurrency; one worker runs on the calling thread) and merges the
+  /// results. Deterministic for any worker count; a shard's failure
+  /// (contract violation, sink error, deadlock guard) does not stop the
+  /// remaining shards, and the lowest failing index is rethrown after the
+  /// loop.
   ///
   /// With CampaignSpec::checkpoint_path set, shards already recorded there
   /// are restored instead of re-executed (their seed is validated against
@@ -336,6 +335,12 @@ class Campaign {
   /// Runs a single shard synchronously on a fresh, throwaway context
   /// (what run_shard(index, context) does on a first-use context).
   [[nodiscard]] ShardResult run_shard(std::size_t scenario_index) const;
+
+  /// Contract violation unless `record` belongs to this campaign: index in
+  /// range, seed == shard_seed(), spec hash == spec().shard_hash() of that
+  /// scenario. The one check behind every checkpoint restore and every
+  /// fabric shard_done.
+  void check_record(const report::ShardCheckpoint& record) const;
 
   /// Runs a single shard on a reusable per-worker context: the context's
   /// simulator, testbed node graph, tools and sink scratch are reset into

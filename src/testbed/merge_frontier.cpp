@@ -99,4 +99,59 @@ void MergeFrontier::fold(ShardResult&& result) {
                        .count();
 }
 
+ResumePlan plan_resume(const Campaign& campaign) {
+  const CampaignSpec& spec = campaign.spec();
+  const std::size_t shard_count = campaign.scenario_count();
+  ResumePlan plan;
+  plan.slots.assign(shard_count, MergeFrontier::Slot::skipped);
+  std::shared_ptr<report::CheckpointReader> reader;
+  if (!spec.checkpoint_path.empty()) {
+    const auto start = std::chrono::steady_clock::now();
+    report::for_each_checkpoint(
+        spec.checkpoint_path, [&](report::ShardCheckpoint&& record) {
+          campaign.check_record(record);
+          MergeFrontier::Slot& slot =
+              plan.slots[record.summary.info.scenario_index];
+          if (slot != MergeFrontier::Slot::restored) {
+            slot = MergeFrontier::Slot::restored;
+            ++plan.restored_count;
+          }
+        });
+    // Rewrite the file to exactly one record per completed shard (drops
+    // torn fragments and duplicate re-runs), so a many-times-resumed
+    // sweep's checkpoint stays O(completed shards); the feed then reads it
+    // front to back, which is ascending-unique — file order == fold order.
+    if (plan.restored_count > 0) {
+      report::compact_checkpoint(spec.checkpoint_path);
+    }
+    reader = std::make_shared<report::CheckpointReader>(spec.checkpoint_path);
+    plan.checkpoint =
+        std::make_shared<report::CheckpointWriter>(spec.checkpoint_path);
+    plan.restore_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  }
+  plan.restored = [reader](std::size_t expected_index) {
+    report::ShardCheckpoint record;
+    expects(reader != nullptr && reader->next(record),
+            "campaign resume: compacted checkpoint exhausted before all "
+            "restored shards were folded");
+    expects(record.summary.info.scenario_index == expected_index,
+            "campaign resume: compacted checkpoint out of order");
+    return shard_result_from_checkpoint(std::move(record));
+  };
+
+  // The kill / incremental-sweep knob caps how many pending shards this
+  // invocation executes; the cut is the scenario-order prefix, so resumes
+  // walk the campaign front to back.
+  const std::size_t cap = spec.max_shards > 0 ? spec.max_shards : shard_count;
+  plan.pending.reserve(std::min(cap, shard_count));
+  for (std::size_t i = 0; i < shard_count && plan.pending.size() < cap; ++i) {
+    if (plan.slots[i] == MergeFrontier::Slot::restored) continue;
+    plan.slots[i] = MergeFrontier::Slot::fresh;
+    plan.pending.push_back(i);
+  }
+  return plan;
+}
+
 }  // namespace acute::testbed

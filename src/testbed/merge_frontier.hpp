@@ -1,5 +1,7 @@
-// The merge frontier: the in-order fold that gives campaigns O(workers)
-// report memory — and the fabric coordinator bit-identical merges.
+// The merge frontier and the resume plan: the in-order fold that gives
+// campaigns O(workers) report memory — and the fabric coordinator
+// bit-identical merges — plus the one checkpoint-resume routine both
+// Campaign::run and fabric::Coordinator::run start from.
 //
 // An in-order fold over scenario indices, same shape as the JSONL sink's
 // reorder window. A cursor sweeps 0..N-1; each index is folded into the
@@ -10,10 +12,10 @@
 // so peak digest retention is O(producers), not O(shards).
 //
 // Order proof: the cursor visits indices strictly ascending and folds
-// exactly the shards the buffered model would retain (fresh submissions,
+// exactly the shards a retained run keeps completed (fresh submissions,
 // checkpoint-restored records, nothing for skipped/abandoned ones), so the
-// fold sequence is identical to CampaignReport::workload_digests()'s
-// post-join loop over `shards` — bit-identical digests and double sums for
+// fold sequence is identical to Campaign::run's post-join reference loop
+// over CampaignReport::shards — bit-identical digests and double sums for
 // any producer count and across kill/resume. That holds whether the
 // producers are Campaign::run's worker threads or fabric worker *processes*
 // streaming ckpt2 records to a coordinator: the frontier never sees the
@@ -28,9 +30,11 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
+#include "report/checkpoint.hpp"
 #include "testbed/campaign.hpp"
 
 namespace acute::testbed {
@@ -93,5 +97,29 @@ class MergeFrontier {
   std::size_t high_water_ = 0;
   double fold_seconds_ = 0;
 };
+
+/// Everything a campaign run knows before its first shard executes; see
+/// plan_resume().
+struct ResumePlan {
+  /// Every scenario index classified for the fold (MergeFrontier's slots).
+  std::vector<MergeFrontier::Slot> slots;
+  /// The fresh indices, ascending: the run's claim (or lease) order.
+  std::vector<std::size_t> pending;
+  /// Restored-record feed over the compacted checkpoint: call once per
+  /// restored slot, in ascending index order (MergeFrontier's feed).
+  std::function<ShardResult(std::size_t)> restored;
+  /// Appender for newly completed shards; null without a checkpoint_path.
+  std::shared_ptr<report::CheckpointWriter> checkpoint;
+  std::size_t restored_count = 0;
+  double restore_seconds = 0;
+};
+
+/// The one checkpoint-resume routine. With CampaignSpec::checkpoint_path
+/// set it streams the file through Campaign::check_record (a stale or
+/// foreign record is a contract violation), compacts it to one ascending
+/// line per shard (the shared last-wins rule), opens the feed over the
+/// compacted lines and then the appender. Every index not restored becomes
+/// fresh, up to CampaignSpec::max_shards of them; the rest are skipped.
+[[nodiscard]] ResumePlan plan_resume(const Campaign& campaign);
 
 }  // namespace acute::testbed

@@ -43,9 +43,9 @@ std::string file_bytes(const std::string& path) {
 
 /// Exact serialization of a digest vector, passive accumulators included:
 /// write_digest emits IEEE-754 bit patterns, so equal strings = equal bits.
-std::string digest_bytes(const std::vector<WorkloadDigest>& digests) {
+std::string digest_bytes(const std::vector<report::WorkloadDigest>& digests) {
   std::ostringstream out;
-  for (const WorkloadDigest& digest : digests) {
+  for (const report::WorkloadDigest& digest : digests) {
     out << static_cast<int>(digest.tool) << ' ' << digest.probes << ' '
         << digest.lost << ' ' << digest.passive_sniffer_samples << ' '
         << digest.passive_app_samples << '\n';
@@ -203,7 +203,6 @@ TEST(CampaignPassive, FrontierKillResumeTicksMatchUninterruptedRun) {
   reference_spec.retain_shards = false;
   reference_spec.checkpoint_path = reference_ckpt.path;
   const CampaignReport reference = Campaign(reference_spec).run(1);
-  EXPECT_TRUE(reference.frontier.active);
   const std::string reference_digests =
       digest_bytes(reference.workload_digests());
 

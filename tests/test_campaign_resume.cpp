@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -296,6 +298,84 @@ TEST(CampaignResume, RestoredShardsCarryCountersButNoSamples) {
     EXPECT_TRUE(restored.du_ms.empty());
   }
   expect_digests_bit_identical(first, second);
+}
+
+/// A user sink that fails its shard at shard_finished — after the shard has
+/// simulated, before the checkpoint sink (always last in the chain) records
+/// it — as a broken exporter would.
+class FailingSink : public report::ResultSink {
+ public:
+  explicit FailingSink(std::size_t index) : index_(index) {}
+  void probe_completed(const report::ProbeEvent& /*event*/) override {}
+  void shard_finished(const report::ShardSummary& /*summary*/) override {
+    throw std::runtime_error("sink failed on shard " +
+                             std::to_string(index_));
+  }
+
+ private:
+  std::size_t index_;
+};
+
+report::SinkFactory failing_on(std::set<std::size_t> indices) {
+  return [indices](const report::ShardInfo& info) {
+    std::vector<std::unique_ptr<report::ResultSink>> sinks;
+    if (indices.count(info.scenario_index) > 0) {
+      sinks.push_back(std::make_unique<FailingSink>(info.scenario_index));
+    }
+    return sinks;
+  };
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(CampaignResume, FailingShardsLetTheRestRunAndRethrowTheLowestIndex) {
+  // Shards 2 and 5 fail inside the worker loop. At any worker count and in
+  // either retention mode the other shards still run and are checkpointed,
+  // the lowest failing index is rethrown after the loop, and a rerun
+  // without the failing sink heals the sweep bit-identically.
+  const CampaignReport uninterrupted = Campaign(resume_campaign()).run(1);
+  std::string reference_bytes;
+  for (const bool retain : {true, false}) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("retain_shards=" + std::to_string(retain) +
+                   " workers=" + std::to_string(workers));
+      TempFile checkpoint("failing_" + std::to_string(retain) + "_" +
+                          std::to_string(workers));
+      CampaignSpec spec = resume_campaign();
+      spec.retain_shards = retain;
+      spec.checkpoint_path = checkpoint.path;
+      spec.sinks = failing_on({2, 5});
+      std::string error;
+      try {
+        (void)Campaign(spec).run(workers);
+      } catch (const std::runtime_error& failure) {
+        error = failure.what();
+      }
+      EXPECT_EQ(error, "sink failed on shard 2");
+
+      report::compact_checkpoint(checkpoint.path);
+      std::vector<std::size_t> recorded;
+      for (const auto& record : report::load_checkpoint(checkpoint.path)) {
+        recorded.push_back(record.summary.info.scenario_index);
+      }
+      EXPECT_EQ(recorded, (std::vector<std::size_t>{0, 1, 3, 4, 6, 7}));
+      const std::string bytes = read_bytes(checkpoint.path);
+      if (reference_bytes.empty()) reference_bytes = bytes;
+      EXPECT_EQ(bytes, reference_bytes);
+
+      CampaignSpec rerun = resume_campaign();
+      rerun.retain_shards = retain;
+      rerun.checkpoint_path = checkpoint.path;
+      const CampaignReport healed = Campaign(rerun).run(workers);
+      EXPECT_EQ(healed.completed_shards(), healed.shard_count());
+      expect_digests_bit_identical(healed, uninterrupted);
+    }
+  }
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST(CampaignWorkloads, EachWorkloadRunsItsOwnTool) {
   EXPECT_EQ(digests[2].tool, ToolKind::httping);
   EXPECT_EQ(digests[3].tool, ToolKind::java_ping);
   // 2 profiles x 6 probes per kind.
-  for (const WorkloadDigest& digest : digests) {
+  for (const report::WorkloadDigest& digest : digests) {
     EXPECT_EQ(digest.probes, 12u);
   }
   // The paper's Fig. 8 ordering at the median: AcuteMon's warm path beats
@@ -216,7 +216,7 @@ TEST(CampaignWorkloads, StreamingModeHoldsSampleMemoryAtOShards) {
     EXPECT_TRUE(shard.dv_ms.empty());
     EXPECT_TRUE(shard.dn_ms.empty());
     ASSERT_FALSE(shard.digests.empty());
-    for (const WorkloadDigest& digest : shard.digests) {
+    for (const report::WorkloadDigest& digest : shard.digests) {
       EXPECT_LE(digest.reported_rtt_ms.centroid_count(),
                 digest.reported_rtt_ms.max_centroids());
       EXPECT_LE(digest.du_ms.centroid_count(),
@@ -256,7 +256,7 @@ TEST(CampaignWorkloads, AssignWorkloadsMixesToolsWithinOneScenario) {
   EXPECT_EQ(digests[1].tool, ToolKind::icmp_ping);
   EXPECT_EQ(digests[2].tool, ToolKind::httping);
   EXPECT_EQ(digests[3].tool, ToolKind::java_ping);
-  for (const WorkloadDigest& digest : digests) {
+  for (const report::WorkloadDigest& digest : digests) {
     EXPECT_EQ(digest.probes, 5u);
   }
 }

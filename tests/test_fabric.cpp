@@ -8,7 +8,10 @@
 // deadline, duplicate completions from the re-lease race, and a mismatched
 // worker rejected at the hello handshake.
 #include <gtest/gtest.h>
+#include <poll.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -142,6 +145,27 @@ struct FabricRun {
   CoordinatorStats stats;
 };
 
+/// Waits until every coordinator-side end holds a readable frame (its
+/// worker's hello), so Coordinator::run handles every hello in its first
+/// poll pass: without the wait, a worker scheduled late can say hello after
+/// the others have finished the whole campaign, and the join/reject counts
+/// the tests pin would depend on thread start-up order. Fails the test when
+/// a hello does not arrive within the bound.
+void await_hellos(const std::vector<std::unique_ptr<Transport>>& ends) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (const std::unique_ptr<Transport>& end : ends) {
+    pollfd fd{end->fd(), POLLIN, 0};
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (::poll(&fd, 1, static_cast<int>(std::max<std::int64_t>(
+                           left.count(), 0))) != 1) {
+      ADD_FAILURE() << "a worker's hello did not arrive within 30 s";
+      return;
+    }
+  }
+}
+
 /// Coordinator on this thread, one fabric::Worker per config on its own
 /// thread, connected by transport_pair — the in-process model of the
 /// forked-worker topology (a worker whose max_shards fires returns
@@ -164,6 +188,7 @@ FabricRun run_fabric(const CampaignSpec& spec,
   config.lease = lease;
   config.log = log;
   Coordinator coordinator(spec, config);
+  await_hellos(coordinator_ends);
   CampaignReport report = coordinator.run(std::move(coordinator_ends));
   for (std::thread& thread : threads) thread.join();
   return FabricRun{std::move(report), coordinator.stats()};
@@ -483,6 +508,7 @@ TEST(Fabric, RejectsMismatchedWorkersLoudlyWhileTheRestFinish) {
   CoordinatorConfig config;
   config.log = &log;
   Coordinator coordinator(spec, config);
+  await_hellos(ends);
   const CampaignReport report = coordinator.run(std::move(ends));
   bad_seed_thread.join();
   bad_shape_thread.join();
@@ -497,6 +523,20 @@ TEST(Fabric, RejectsMismatchedWorkersLoudlyWhileTheRestFinish) {
   EXPECT_EQ(coordinator.stats().workers_rejected, 2u);
   EXPECT_EQ(coordinator.stats().workers_joined, 1u);
   expect_reports_bit_identical(report, Campaign(small_spec()).run(1));
+}
+
+TEST(Fabric, LateWorkerFindingTheCampaignOverExitsCleanly) {
+  // The coordinator finished the campaign, sent shutdown and closed before
+  // this worker said hello. The hello's failed send must find the buffered
+  // shutdown and exit cleanly with no shards run — as when shutdown arrives
+  // in place of hello_ok — not throw from the worker's thread.
+  auto ends = transport_pair();
+  write_frame(*ends.first, FrameType::shutdown);
+  ends.first.reset();
+  Worker worker(small_spec());
+  std::size_t shards_run = 1;
+  EXPECT_NO_THROW(shards_run = worker.run(*ends.second));
+  EXPECT_EQ(shards_run, 0u);
 }
 
 TEST(Fabric, DuplicateCompletionsFromTheReLeaseRaceAreTolerated) {
