@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the simulation substrate itself:
-// event-queue throughput, channel contention, and a full end-to-end probe
-// round trip through the testbed. These bound the cost of the reproduction
-// experiments (all tables re-run in seconds).
+// event-queue throughput, channel contention, a full end-to-end probe round
+// trip through the testbed, and the campaign frontier's digest fold. These
+// bound the cost of the reproduction experiments (all tables re-run in
+// seconds).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "stats/digest.hpp"
 #include "testbed/experiment.hpp"
 
 using namespace acute;
@@ -111,6 +115,30 @@ void BM_CongestedChannelSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CongestedChannelSecond);
+
+void BM_DigestFold(benchmark::State& state) {
+  // The frontier's per-shard step: fold a one-sample digest into a full
+  // compression-128 campaign digest. The one-sample digests are built (and
+  // compacted) up front, so the timed loop is the fold alone; the target
+  // keeps growing, as a campaign digest does, at a bounded centroid count.
+  sim::Rng rng(2016);
+  stats::MergingDigest full(128);
+  for (int i = 0; i < 20000; ++i) full.add(rng.lognormal(3.3, 0.6));
+  std::vector<stats::MergingDigest> ones(256, stats::MergingDigest(128));
+  for (stats::MergingDigest& one : ones) {
+    one.add(rng.lognormal(3.3, 0.6));
+    (void)one.centroid_count();  // compact outside the timed loop
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    full.merge(ones[next]);
+    benchmark::DoNotOptimize(full.count());
+    next = (next + 1) % ones.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["centroids"] = double(full.centroid_count());
+}
+BENCHMARK(BM_DigestFold);
 
 }  // namespace
 

@@ -93,6 +93,9 @@ bool parse_record_body(const std::string& line, ShardCheckpoint& out) {
     out.spec_hash = std::strtoull(hash_hex.c_str(), nullptr, 16);
     s.sim_seconds = stats::double_from_bits(
         std::strtoull(sim_bits.c_str(), nullptr, 16));
+    // At most one digest per tool kind, in ascending kind order (the order
+    // WorkloadFold emits): bounds the reserve below against a lying count.
+    if (digest_count > tools::kToolKindCount) return false;
     out.digests.clear();
     out.digests.reserve(digest_count);
     for (std::size_t i = 0; i < digest_count; ++i) {
@@ -102,6 +105,10 @@ bool parse_record_body(const std::string& line, ShardCheckpoint& out) {
       if (!in) return false;
       const auto kind = tools::parse_tool_kind(tool);
       if (!kind.has_value()) return false;
+      if (i > 0 && tools::tool_kind_index(*kind) <=
+                       tools::tool_kind_index(out.digests.back().tool)) {
+        return false;
+      }
       digest.tool = *kind;
       digest.reported_rtt_ms = stats::read_digest(in);
       digest.du_ms = stats::read_digest(in);

@@ -11,7 +11,8 @@ using sim::expects;
 
 MergingDigest::MergingDigest(std::size_t compression)
     : compression_(compression) {
-  expects(compression_ >= 8, "MergingDigest compression must be >= 8");
+  expects(compression_ >= kMinCompression && compression_ <= kMaxCompression,
+          "MergingDigest compression must be in [8, 65536]");
   buffer_.reserve(4 * compression_);
 }
 
@@ -100,21 +101,48 @@ void MergingDigest::merge(MergingDigest&& other) {
 void MergingDigest::compress() const {
   if (buffer_.empty() && compacted_) return;
   compacted_ = true;
-  std::vector<Centroid> points;
-  points.reserve(centroids_.size() + buffer_.size());
-  points.insert(points.end(), centroids_.begin(), centroids_.end());
+  // Per-thread scratch, reused across calls: a steady-state fold allocates
+  // nothing (the result goes into centroids_'s existing capacity).
+  thread_local std::vector<Centroid> points;
+  thread_local std::vector<Centroid> spare;
+  thread_local std::vector<std::size_t> runs;
+  points.assign(centroids_.begin(), centroids_.end());
   for (const double x : buffer_) points.push_back(Centroid{x, 1});
   buffer_.clear();
-  if (points.empty()) {
-    centroids_.clear();
-    return;
+  centroids_.clear();
+  if (points.empty()) return;
+
+  // Stable order by mean: equal-mean points keep insertion order, so the
+  // compaction result is a pure function of the insertion sequence. The
+  // input is mostly sorted already — the compacted list, after merge() the
+  // other digest's compacted list, then the insert buffer — so a natural
+  // merge sort (split into maximal non-descending runs, merge neighbours,
+  // left run first on ties) yields exactly std::stable_sort's permutation
+  // in O(n) for the common fold, without its temporary-buffer allocation.
+  const auto by_mean = [](const Centroid& a, const Centroid& b) {
+    return a.mean < b.mean;
+  };
+  const std::size_t n = points.size();
+  runs.assign(1, 0);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (by_mean(points[i], points[i - 1])) runs.push_back(i);
   }
-  // Stable sort keeps equal-mean points in insertion order: the compaction
-  // result is a pure function of the insertion sequence.
-  std::stable_sort(points.begin(), points.end(),
-                   [](const Centroid& a, const Centroid& b) {
-                     return a.mean < b.mean;
-                   });
+  runs.push_back(n);
+  while (runs.size() > 2) {
+    spare.resize(n);
+    std::size_t kept = 1;
+    for (std::size_t r = 0; r + 1 < runs.size(); r += 2) {
+      const std::size_t first = runs[r];
+      const std::size_t mid = runs[r + 1];
+      const std::size_t last = r + 2 < runs.size() ? runs[r + 2] : mid;
+      std::merge(points.begin() + first, points.begin() + mid,
+                 points.begin() + mid, points.begin() + last,
+                 spare.begin() + first, by_mean);
+      runs[kept++] = last;
+    }
+    runs.resize(kept);
+    points.swap(spare);
+  }
   double total = 0;
   for (const Centroid& p : points) total += p.weight;
 
@@ -130,16 +158,61 @@ void MergingDigest::compress() const {
     return k_scale * std::asin(std::clamp(2.0 * q - 1.0, -1.0, 1.0));
   };
 
-  std::vector<Centroid> merged;
-  merged.reserve(compression_ + 8);
+  // The merge test is D = k(q_r) − k(q_l) <= 1. Since
+  // dk/dq = k_scale/√(q(1−q)), D = k_scale·∫ dq/√(q(1−q)) over [q_l, q_r]
+  // lies between k_scale·(q_r−q_l)/√g_max and k_scale·(q_r−q_l)/√g_min,
+  // where g = q(1−q) at its largest and smallest on the interval. Compared
+  // squared, those bounds decide most steps with no asin or sqrt; a step
+  // whose bounds straddle 1 ± kSlack evaluates D exactly as before. The
+  // shortcut is bit-identical iff it never disagrees with the computed D̂,
+  // i.e. iff kSlack/2 exceeds |D̂ − D| (the bounds' own rounding is a few
+  // ulp of a value near 1):
+  //  * asin's own error and the two k_scale products contribute at most
+  //    2·k_scale·(u + 2^-53·π/2), u = asin's error bound in units of 2^-52.
+  //    At kMaxCompression (k_scale < 10431) that is below kSlack/4 for any
+  //    u up to 50 ulp, far above the error libm implementations document.
+  //  * 2q−1 is exact for q ≥ 1/4 (Sterbenz) and for q = 0; otherwise it is
+  //    off by ≤ 2^-54, which asin amplifies by 1/√(1−x²) ≤ 1/√q. Requiring
+  //    each nonzero endpoint to be ≥ q_guard, √q_guard = 8·k_scale·2^-54 /
+  //    kSlack, caps this term at kSlack/4 for both endpoints together. At
+  //    the default compression q_guard ≈ 2e-11, so only digests of more
+  //    than 10^10 samples ever take the exact path because of it.
+  constexpr double kSlack = 1e-9;
+  constexpr double kCloseSq = (1 + kSlack) * (1 + kSlack);
+  constexpr double kMergeSq = (1 - kSlack) * (1 - kSlack);
+  const double guard_root = 8.0 * k_scale * 0x1p-54 / kSlack;
+  const double q_guard = guard_root * guard_root;
+
   Centroid current = points.front();
   double weight_before = 0;  // total weight strictly left of `current`
-  for (std::size_t i = 1; i < points.size(); ++i) {
+  double q_left = 0;         // weight_before / total
+  double g_left = 0;         // q_left·(1 − q_left)
+  double k_left = 0;         // k_of(q_left), once the exact path needs it
+  bool have_k_left = false;
+  for (std::size_t i = 1; i < n; ++i) {
     const Centroid& next = points[i];
     const double proposed = current.weight + next.weight;
-    const double k_left = k_of(weight_before / total);
-    const double k_right = k_of((weight_before + proposed) / total);
-    if (k_right - k_left <= 1.0) {
+    const double q_right = (weight_before + proposed) / total;
+    const double span = k_scale * (q_right - q_left);
+    const double g_right = q_right * (1 - q_right);
+    const double g_max = q_left <= 0.5 && q_right >= 0.5
+                             ? 0.25
+                             : std::max(g_left, g_right);
+    const bool bounds_apply = (q_left > 0 ? q_left : q_right) >= q_guard;
+    bool fits;
+    if (bounds_apply && span * span > kCloseSq * g_max) {
+      fits = false;
+    } else if (bounds_apply &&
+               span * span < kMergeSq * std::min(g_left, g_right)) {
+      fits = true;
+    } else {
+      if (!have_k_left) {
+        k_left = k_of(q_left);
+        have_k_left = true;
+      }
+      fits = k_of(q_right) - k_left <= 1.0;
+    }
+    if (fits) {
       // Weighted average; weights are sample counts, so this is the exact
       // mean of the union.
       current.mean =
@@ -148,12 +221,14 @@ void MergingDigest::compress() const {
       current.weight = proposed;
     } else {
       weight_before += current.weight;
-      merged.push_back(current);
+      centroids_.push_back(current);
       current = next;
+      q_left = weight_before / total;
+      g_left = q_left * (1 - q_left);
+      have_k_left = false;
     }
   }
-  merged.push_back(current);
-  centroids_ = std::move(merged);
+  centroids_.push_back(current);
 }
 
 DigestSnapshot MergingDigest::snapshot() const {
@@ -173,18 +248,37 @@ DigestSnapshot MergingDigest::snapshot() const {
 }
 
 MergingDigest MergingDigest::from_snapshot(const DigestSnapshot& snap) {
+  // Everything a hostile checkpoint line could lie about is checked before
+  // it is trusted: compress() relies on finite, totally ordered means and
+  // on integral weights whose sums stay exact (below 2^53).
   MergingDigest digest(snap.compression);
+  expects(snap.centroids.size() <= centroid_limit(snap.compression),
+          "DigestSnapshot holds more centroids than its compression allows");
+  expects(snap.count <= (std::uint64_t{1} << 53),
+          "DigestSnapshot count exceeds 2^53 (weights would be inexact)");
+  expects(std::isfinite(snap.sum) && std::isfinite(snap.sum_sq) &&
+              std::isfinite(snap.min) && std::isfinite(snap.max) &&
+              snap.min <= snap.max,
+          "DigestSnapshot sum/sum_sq/min/max must be finite, min <= max");
+  // A centroid mean is a rounded weighted average, so a run of samples all
+  // equal to min (or max) can drift a few hundred ulp past it; 2^-20 of the
+  // value scale is far above any such drift and far below a real lie.
+  const double slack =
+      0x1p-20 * std::max(std::fabs(snap.min), std::fabs(snap.max));
   double total_weight = 0;
-  double prev_mean = 0;
-  for (std::size_t i = 0; i < snap.centroids.size(); ++i) {
-    const auto& [mean, weight] = snap.centroids[i];
-    expects(weight > 0, "DigestSnapshot centroid weights must be positive");
-    expects(i == 0 || mean >= prev_mean,
-            "DigestSnapshot centroids must be in ascending-mean order");
+  double prev_mean = snap.min - slack;
+  for (const auto& [mean, weight] : snap.centroids) {
+    expects(weight > 0 && weight <= 0x1p53 && std::floor(weight) == weight,
+            "DigestSnapshot centroid weights must be positive integers");
+    expects(std::isfinite(mean) && mean >= prev_mean,
+            "DigestSnapshot centroid means must be finite, ascending and "
+            "not below min");
     prev_mean = mean;
     total_weight += weight;
     digest.centroids_.push_back(Centroid{mean, weight});
   }
+  expects(prev_mean <= snap.max + slack,
+          "DigestSnapshot centroid means must not exceed max");
   // Weights are sample counts (integers held in doubles): the sum is exact
   // below 2^53 samples, so equality is the right check.
   expects(total_weight == static_cast<double>(snap.count),

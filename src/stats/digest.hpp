@@ -42,9 +42,16 @@ struct DigestSnapshot {
 /// count/sum/min/max are tracked exactly.
 class MergingDigest {
  public:
-  /// Default compression: ~128 centroids ≈ <1% quantile error mid-range,
-  /// exact extremes; 3 KiB per digest.
+  /// Default compression: at most 129 compacted centroids, a rank error
+  /// of at most 0.005 at q in [0.01, 0.99] (the bound test_stats pins on
+  /// bimodal, Pareto and lognormal samples), exact extremes. Footprint: the
+  /// 4 KiB insert buffer plus up to ~2 KiB of centroids.
   static constexpr std::size_t kDefaultCompression = 128;
+  /// Accepted compression range. The floor keeps the k1 scale meaningful;
+  /// the ceiling keeps 4*compression and the centroid bound far from
+  /// overflow and is the range compress()'s rounding argument covers.
+  static constexpr std::size_t kMinCompression = 8;
+  static constexpr std::size_t kMaxCompression = std::size_t{1} << 16;
 
   explicit MergingDigest(std::size_t compression = kDefaultCompression);
 
@@ -60,10 +67,11 @@ class MergingDigest {
   /// Consuming merge: bit-identical observable result to merge(const&), but
   /// when this digest is still empty (the first shard folded into a
   /// campaign-level slot) it adopts other's compacted centroid storage and
-  /// insert buffer wholesale instead of copying them. Buffer capacities are
-  /// preserved exactly, so compaction triggers at the same sample counts —
-  /// the t-digest bit-identity contract is untouched. `other` is left
-  /// empty-but-valid.
+  /// insert buffer wholesale instead of copying them. Compaction triggers on
+  /// buffer_.size() reaching 4*compression, and the adopted buffer is empty
+  /// after other's compress(), so later compactions fall at the same sample
+  /// counts — the t-digest bit-identity contract is untouched. `other` is
+  /// left empty-but-valid.
   void merge(MergingDigest&& other);
 
   /// Number of samples added (exact).
@@ -93,7 +101,15 @@ class MergingDigest {
   /// Hard ceiling on centroid_count() after compaction, for any sample
   /// count: the k1 bound yields at most compression+1 centroids; 2x is a
   /// comfortable structural margin.
-  [[nodiscard]] std::size_t max_centroids() const { return 2 * compression_; }
+  [[nodiscard]] std::size_t max_centroids() const {
+    return centroid_limit(compression_);
+  }
+  /// max_centroids() of a digest built with `compression`, for parsers that
+  /// must bound a centroid count before allocating for it.
+  [[nodiscard]] static constexpr std::size_t centroid_limit(
+      std::size_t compression) {
+    return 2 * compression;
+  }
 
   /// The compression parameter this digest was built with.
   [[nodiscard]] std::size_t compression() const { return compression_; }
@@ -102,8 +118,12 @@ class MergingDigest {
   /// snapshotting twice, or snapshotting a restored digest, is idempotent).
   [[nodiscard]] DigestSnapshot snapshot() const;
   /// Rebuilds a digest from snapshot(); bit-identical observable state.
-  /// Contract violation on structurally invalid snapshots (compression < 8,
-  /// unsorted or non-positive-weight centroids, weight/count mismatch).
+  /// Contract violation on structurally invalid snapshots: compression
+  /// outside [kMinCompression, kMaxCompression], more than centroid_limit()
+  /// centroids, count above 2^53, non-finite sum/sum_sq/min/max/means,
+  /// weights that are not positive integers, weights that do not sum to
+  /// count, or means that are unsorted or stray outside [min, max] by more
+  /// than rounding.
   [[nodiscard]] static MergingDigest from_snapshot(const DigestSnapshot& snap);
 
  private:
@@ -112,8 +132,8 @@ class MergingDigest {
     double weight = 0;
   };
 
-  /// Merges buffered samples into the centroid list (stable sort + single
-  /// merge pass under the k2 weight bound).
+  /// Merges buffered samples into the centroid list: a stable merge of the
+  /// already-sorted runs, then a single pass under the k1 weight bound.
   void compress() const;
 
   std::size_t compression_;
@@ -121,7 +141,7 @@ class MergingDigest {
   // insert buffer first; both stores are cache, not observable state.
   mutable std::vector<Centroid> centroids_;  // sorted by mean once compressed
   mutable std::vector<double> buffer_;
-  mutable bool compacted_ = true;  // centroids_ already under the k2 bound
+  mutable bool compacted_ = true;  // centroids_ already under the k1 bound
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double sum_sq_ = 0;

@@ -87,6 +87,13 @@ MergingDigest read_digest(std::istream& in) {
   snap.max = read_double(in);
   const std::uint64_t centroid_count =
       read_u64(in, "digest_io: short centroid count");
+  // Bound the count before reserving: a lying count must fail as a contract
+  // violation, not as a huge allocation (or std::bad_alloc).
+  expects(snap.compression >= MergingDigest::kMinCompression &&
+              snap.compression <= MergingDigest::kMaxCompression,
+          "digest_io: compression out of range");
+  expects(centroid_count <= MergingDigest::centroid_limit(snap.compression),
+          "digest_io: centroid count exceeds the compression's bound");
   snap.centroids.reserve(centroid_count);
   for (std::uint64_t i = 0; i < centroid_count; ++i) {
     const double mean = read_double(in);

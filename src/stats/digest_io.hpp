@@ -28,7 +28,8 @@ void write_digest(std::ostream& out, const MergingDigest& digest);
 
 /// Parses write_digest()'s token stream from `in`. Throws
 /// sim::ContractViolation on malformed input (bad magic, short read,
-/// structurally invalid snapshot).
+/// structurally invalid snapshot — see MergingDigest::from_snapshot), and
+/// bounds the centroid count before allocating for it.
 [[nodiscard]] MergingDigest read_digest(std::istream& in);
 
 }  // namespace acute::stats

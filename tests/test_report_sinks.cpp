@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "report/checkpoint.hpp"
@@ -258,6 +261,108 @@ TEST(Checkpoint, TornUnknownKindFragmentIsStillSkipped) {
   const auto records = load_checkpoint(file.path);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].summary.info.scenario_index, 0u);
+}
+
+/// write_digest()'s tokens for an arbitrary, possibly lying, digest.
+std::string digest_blob(std::uint64_t compression, double min, double max,
+                        std::uint64_t declared_centroids,
+                        const std::vector<std::pair<double, double>>& cents) {
+  std::ostringstream out;
+  const auto hex = [&](double x) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(stats::double_bits(x)));
+    out << ' ' << buf;
+  };
+  double count = 0;
+  double sum = 0;
+  for (const auto& [mean, weight] : cents) {
+    count += weight;
+    sum += mean * weight;
+  }
+  out << "dgst " << compression << ' ' << static_cast<std::uint64_t>(count);
+  hex(sum);
+  hex(sum);
+  hex(min);
+  hex(max);
+  out << ' ' << declared_centroids;
+  for (const auto& [mean, weight] : cents) {
+    hex(mean);
+    hex(weight);
+  }
+  return out.str();
+}
+
+/// sample_checkpoint(4)'s record with its first digest replaced by `blob`;
+/// `complete` keeps the writer's "end" sentinel, otherwise the line is torn
+/// just before it.
+std::string record_with_digest(const std::string& blob, bool complete) {
+  std::string line = render_checkpoint_record(sample_checkpoint(4));
+  const auto first = line.find("dgst ");
+  const auto second = line.find(" dgst ", first);
+  line.replace(first, second - first, blob);
+  if (!complete) line.erase(line.rfind(" end"));
+  return line;
+}
+
+TEST(Checkpoint, HostileDigestBytesAreRefusedNotTrusted) {
+  // Each blob below parsed (or threw std::bad_alloc) before the digest
+  // parser validated its input. Torn, the record is a plain parse failure;
+  // sentinel-complete, it is corruption and must fail loudly — never be
+  // accepted, and never escape as anything but a ContractViolation.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::pair<double, double>> forty;
+  for (int i = 0; i < 40; ++i) forty.emplace_back(double(i), 1.0);
+  const std::vector<std::pair<const char*, std::string>> hostile = {
+      {"nan first mean", digest_blob(8, 1, 3, 1, {{nan, 3}})},
+      {"nan min", digest_blob(8, nan, 3, 2, {{1, 1}, {2.5, 2}})},
+      {"nan max", digest_blob(8, 1, nan, 2, {{1, 1}, {2.5, 2}})},
+      {"mean above max", digest_blob(8, 1, 3, 2, {{1, 1}, {7, 2}})},
+      {"40 centroids at compression 8", digest_blob(8, 0, 39, 40, forty)},
+      {"compression 2^62",
+       digest_blob(std::uint64_t{1} << 62, 1, 3, 2, {{1, 1}, {2.5, 2}})},
+      {"centroid count 2^40",
+       digest_blob(128, 1, 3, std::uint64_t{1} << 40, {})},
+  };
+  for (const auto& [name, blob] : hostile) {
+    ShardCheckpoint record;
+    bool parsed = true;
+    EXPECT_NO_THROW(parsed =
+                        parse_checkpoint_record(record_with_digest(blob, false),
+                                                record))
+        << name;
+    EXPECT_FALSE(parsed) << name;
+    EXPECT_THROW((void)parse_checkpoint_record(record_with_digest(blob, true),
+                                               record),
+                 sim::ContractViolation)
+        << name;
+  }
+}
+
+TEST(Checkpoint, DigestCountIsBoundedByTheToolKinds) {
+  // The per-record digest count reserves storage: it must be bounded (one
+  // digest per tool kind, ascending) before anything is allocated for it.
+  const std::string valid = render_checkpoint_record(sample_checkpoint(4));
+  const auto count_at = valid.find(" 1 httping ");
+  ASSERT_NE(count_at, std::string::npos);
+  const std::string head = valid.substr(0, count_at);
+  const std::string body = valid.substr(count_at + 3);  // "httping ..."
+  const std::string tail = body.substr(0, body.rfind(" end"));
+  ShardCheckpoint record;
+  for (const std::string& count : {std::string("1099511627776"),
+                                   std::string("5")}) {
+    const std::string torn = head + ' ' + count + ' ' + tail;
+    EXPECT_FALSE(parse_checkpoint_record(torn, record)) << count;
+    EXPECT_THROW((void)parse_checkpoint_record(torn + " end\n", record),
+                 sim::ContractViolation)
+        << count;
+  }
+  // Two digests of the same kind (not ascending) is corruption too.
+  const std::string twice = head + " 2 " + tail + ' ' + tail;
+  EXPECT_FALSE(parse_checkpoint_record(twice, record));
+  EXPECT_THROW((void)parse_checkpoint_record(twice + " end\n", record),
+               sim::ContractViolation);
+  ASSERT_TRUE(parse_checkpoint_record(valid, record));
 }
 
 TEST(Checkpoint, CompactionDedupesAndSortsRecords) {

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/contracts.hpp"
@@ -8,6 +15,7 @@
 #include "stats/boxplot.hpp"
 #include "stats/cdf.hpp"
 #include "stats/digest.hpp"
+#include "stats/digest_io.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 
@@ -274,6 +282,220 @@ TEST(MergingDigest, RejectsContractViolations) {
   digest.add(1.0);
   EXPECT_THROW((void)digest.quantile(1.5), sim::ContractViolation);
   EXPECT_THROW(MergingDigest(4), sim::ContractViolation);  // compression < 8
+}
+
+// --- Pinned accuracy -------------------------------------------------------
+
+/// Rank error of `estimate` as a q-quantile of the sorted `sample`: how far
+/// q lies outside the estimate's empirical rank interval [F(x-), F(x)].
+double rank_error(const std::vector<double>& sorted, double q,
+                  double estimate) {
+  const double n = static_cast<double>(sorted.size());
+  const double below =
+      double(std::lower_bound(sorted.begin(), sorted.end(), estimate) -
+             sorted.begin()) /
+      n;
+  const double at_or_below =
+      double(std::upper_bound(sorted.begin(), sorted.end(), estimate) -
+             sorted.begin()) /
+      n;
+  return std::max({0.0, below - q, q - at_or_below});
+}
+
+struct AccuracyCase {
+  const char* name;
+  std::function<double(sim::Rng&)> draw;
+};
+
+class DigestAccuracy : public ::testing::TestWithParam<AccuracyCase> {};
+
+TEST_P(DigestAccuracy, RankErrorStaysWithinTheStatedBound) {
+  // The accuracy digest.hpp states for the default compression: rank error
+  // <= 0.005 at q in [0.01, 0.99] and exact extremes, whether the digest is
+  // built sample by sample or folded from one-sample digests (the campaign
+  // frontier's shape).
+  sim::Rng rng(2016);
+  std::vector<double> sample(20000);
+  for (double& x : sample) x = GetParam().draw(rng);
+  MergingDigest added;
+  MergingDigest folded;
+  for (const double x : sample) {
+    added.add(x);
+    MergingDigest one;
+    one.add(x);
+    folded.merge(one);
+  }
+  std::sort(sample.begin(), sample.end());
+  double worst = 0;
+  for (const MergingDigest* digest : {&added, &folded}) {
+    EXPECT_EQ(digest->min(), sample.front());
+    EXPECT_EQ(digest->max(), sample.back());
+    EXPECT_EQ(digest->quantile(0.0), sample.front());
+    EXPECT_EQ(digest->quantile(1.0), sample.back());
+    for (const double q :
+         {0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}) {
+      const double error = rank_error(sample, q, digest->quantile(q));
+      EXPECT_LE(error, 0.005) << GetParam().name << " q=" << q;
+      worst = std::max(worst, error);
+    }
+  }
+  RecordProperty("worst_rank_error", std::to_string(worst));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperShapes, DigestAccuracy,
+    ::testing::Values(
+        // PSM-bimodal RTTs: awake-path 30 ms mode plus a 230 ms + Exp(40)
+        // beacon-wait mode.
+        AccuracyCase{"psm_bimodal",
+                     [](sim::Rng& rng) {
+                       return rng.bernoulli(0.7)
+                                  ? rng.normal(30.0, 2.0)
+                                  : 230.0 + rng.exponential(40.0);
+                     }},
+        AccuracyCase{"pareto",
+                     [](sim::Rng& rng) {
+                       return 20.0 *
+                              std::pow(1.0 - rng.uniform(0.0, 1.0), -1 / 1.5);
+                     }},
+        AccuracyCase{"lognormal",
+                     [](sim::Rng& rng) { return rng.lognormal(3.3, 0.6); }}),
+    [](const ::testing::TestParamInfo<AccuracyCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// --- Hostile snapshots and serialized digests --------------------------------
+
+/// A valid two-centroid snapshot the hostile cases below corrupt.
+DigestSnapshot valid_snapshot() {
+  DigestSnapshot snap;
+  snap.compression = 8;
+  snap.count = 3;
+  snap.sum = 6.0;
+  snap.sum_sq = 14.0;
+  snap.min = 1.0;
+  snap.max = 3.0;
+  snap.centroids = {{1.0, 1.0}, {2.5, 2.0}};
+  return snap;
+}
+
+/// write_digest()'s token format for an arbitrary (possibly lying) header.
+std::string digest_tokens(const DigestSnapshot& snap,
+                          std::uint64_t centroid_count) {
+  std::ostringstream out;
+  const auto hex = [&](double x) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(double_bits(x)));
+    out << buf;
+  };
+  out << "dgst " << snap.compression << ' ' << snap.count << ' ';
+  hex(snap.sum);
+  out << ' ';
+  hex(snap.sum_sq);
+  out << ' ';
+  hex(snap.min);
+  out << ' ';
+  hex(snap.max);
+  out << ' ' << centroid_count;
+  for (const auto& [mean, weight] : snap.centroids) {
+    out << ' ';
+    hex(mean);
+    out << ' ';
+    hex(weight);
+  }
+  return out.str();
+}
+
+/// Both entry points must refuse `snap` with a ContractViolation.
+void expect_rejected(const DigestSnapshot& snap) {
+  EXPECT_THROW((void)MergingDigest::from_snapshot(snap),
+               sim::ContractViolation);
+  std::istringstream in(digest_tokens(snap, snap.centroids.size()));
+  EXPECT_THROW((void)read_digest(in), sim::ContractViolation);
+}
+
+TEST(DigestSnapshotValidation, TheBaseSnapshotIsAccepted) {
+  const MergingDigest digest = MergingDigest::from_snapshot(valid_snapshot());
+  EXPECT_EQ(digest.count(), 3u);
+  std::istringstream in(digest_tokens(valid_snapshot(), 2));
+  EXPECT_EQ(read_digest(in).count(), 3u);
+}
+
+TEST(DigestSnapshotValidation, RejectsNanFirstMean) {
+  // A lone NaN centroid: no neighbour comparison can catch it, and
+  // quantile(0.5) would return nan.
+  DigestSnapshot snap = valid_snapshot();
+  snap.centroids = {{std::numeric_limits<double>::quiet_NaN(), 3.0}};
+  expect_rejected(snap);
+}
+
+TEST(DigestSnapshotValidation, RejectsNanMinOrMax) {
+  DigestSnapshot snap = valid_snapshot();
+  snap.min = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(snap);
+  snap = valid_snapshot();
+  snap.max = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(snap);
+}
+
+TEST(DigestSnapshotValidation, RejectsNonFiniteSums) {
+  DigestSnapshot snap = valid_snapshot();
+  snap.sum = std::numeric_limits<double>::infinity();
+  expect_rejected(snap);
+  snap = valid_snapshot();
+  snap.sum_sq = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(snap);
+}
+
+TEST(DigestSnapshotValidation, RejectsMeansOutsideMinMax) {
+  DigestSnapshot snap = valid_snapshot();
+  snap.centroids[1].first = 7.0;  // max is 3
+  expect_rejected(snap);
+  snap = valid_snapshot();
+  snap.centroids[0].first = -4.0;  // min is 1
+  expect_rejected(snap);
+}
+
+TEST(DigestSnapshotValidation, RejectsNonIntegralWeights) {
+  DigestSnapshot snap = valid_snapshot();
+  snap.centroids = {{1.0, 0.5}, {2.5, 2.5}};  // still sums to count
+  expect_rejected(snap);
+}
+
+TEST(DigestSnapshotValidation, RejectsMoreCentroidsThanTheCompressionAllows) {
+  // 40 unit centroids at compression 8: past max_centroids() = 16, so the
+  // list cannot be a compacted one.
+  DigestSnapshot snap;
+  snap.compression = 8;
+  snap.count = 40;
+  snap.min = 0;
+  snap.max = 39;
+  for (int i = 0; i < 40; ++i) {
+    snap.centroids.emplace_back(double(i), 1.0);
+    snap.sum += i;
+    snap.sum_sq += double(i) * i;
+  }
+  expect_rejected(snap);
+}
+
+TEST(DigestSnapshotValidation, RejectsCompressionOutsideTheDocumentedRange) {
+  DigestSnapshot snap = valid_snapshot();
+  snap.compression = std::size_t{1} << 62;  // 4 * compression wraps
+  expect_rejected(snap);
+  snap.compression = MergingDigest::kMaxCompression + 1;
+  expect_rejected(snap);
+  EXPECT_THROW(MergingDigest(std::size_t{1} << 62), sim::ContractViolation);
+}
+
+TEST(DigestSnapshotValidation, LyingCentroidCountFailsBeforeAllocating) {
+  // A 60-byte line claiming 2^26 / 2^40 centroids: the bound must refuse
+  // it as a contract violation before any reserve (never bad_alloc).
+  for (const std::uint64_t lie : {std::uint64_t{1} << 26,
+                                  std::uint64_t{1} << 40}) {
+    std::istringstream in(digest_tokens(valid_snapshot(), lie));
+    EXPECT_THROW((void)read_digest(in), sim::ContractViolation) << lie;
+  }
 }
 
 }  // namespace
