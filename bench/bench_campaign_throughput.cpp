@@ -9,6 +9,9 @@
 // can actually use, so the JSON records hardware_concurrency AND the
 // effective core count (CPU affinity mask) of the machine that produced
 // it: a flat ladder on a 1-core container is physics, not contention.
+// Every ladder rung (in-process and fabric) runs kLadderRepetitions times
+// and reports best / median / spread of its scenarios/s; the row's other
+// fields come from the median run.
 //
 // Usage: bench_campaign_throughput [--smoke] [--workers N] [--json PATH]
 //                                  [--scaling-guard]
@@ -18,8 +21,9 @@
 //   --workers        top of the scaling ladder (default 16; intermediate
 //                    1/2/4/8 rows always run)
 //   --json           output path (default: BENCH_campaign.json in the cwd)
-//   --scaling-guard  exit non-zero unless 8-worker scenarios/sec exceeds
-//                    1.5x the 1-worker row — enforced only when >= 4
+//   --scaling-guard  exit non-zero unless the 8-worker rung's median
+//                    scenarios/sec exceeds 1.5x the 1-worker rung's
+//                    median — enforced only when >= 4
 //                    effective cores are available (on fewer cores the
 //                    guard prints the diagnosis and passes: a worker pool
 //                    cannot beat physics)
@@ -31,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,6 +270,62 @@ FabricRun run_fabric(const testbed::CampaignSpec& spec, std::size_t workers) {
   return run;
 }
 
+// Each ladder rung repeats this many times: a single ~0.5 s rung swung by
+// up to 1.6x between identical runs, so one sample cannot tell a scaling
+// change from scheduler noise.
+constexpr int kLadderRepetitions = 3;
+
+/// One rung's scenarios/s over its repetitions. `spread` is
+/// (max - min) / median: the run-to-run swing to discount before
+/// comparing rungs or commits.
+struct RateSummary {
+  double best = 0;
+  double median = 0;
+  double spread = 0;
+  std::size_t median_run = 0;  // index of the run that holds the median
+};
+
+RateSummary summarize(const std::vector<double>& rates) {
+  std::vector<std::size_t> order(rates.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return rates[a] < rates[b];
+  });
+  RateSummary summary;
+  summary.median_run = order[order.size() / 2];
+  summary.median = rates[summary.median_run];
+  summary.best = rates[order.back()];
+  summary.spread = (summary.best - rates[order.front()]) / summary.median;
+  return summary;
+}
+
+/// kLadderRepetitions back-to-back runs at one worker count.
+template <typename Run>
+struct Rung {
+  std::vector<Run> runs;
+  RateSummary rate;
+  [[nodiscard]] const Run& median() const { return runs[rate.median_run]; }
+};
+
+template <typename Run, typename RunOnce>
+Rung<Run> run_rung(RunOnce run_once) {
+  Rung<Run> rung;
+  std::vector<double> rates;
+  for (int rep = 0; rep < kLadderRepetitions; ++rep) {
+    rung.runs.push_back(run_once());
+    rates.push_back(rung.runs.back().scenarios_per_sec);
+  }
+  rung.rate = summarize(rates);
+  return rung;
+}
+
+void print_rate(std::size_t workers, const RateSummary& rate) {
+  std::printf("  -> workers=%2zu  scenarios/s best=%.1f median=%.1f "
+              "spread=%.1f%% (%d runs)\n",
+              workers, rate.best, rate.median, rate.spread * 100.0,
+              kLadderRepetitions);
+}
+
 struct PacketPath {
   double roundtrip_ns = 0;       // 20-probe Fig. 2 run, amortized
   double copies_per_probe = 0;   // Packet copy constructions per probe
@@ -476,17 +537,28 @@ void print_pool_run(const PoolRun& run) {
       run.lost, run.probes);
 }
 
-void json_pool_run(std::FILE* json, const PoolRun& run, bool last) {
+/// One ladder row. With `rate` (a repeated rung) `run` is the median run,
+/// so scenarios_per_sec is the rung median, and the row adds the rung's
+/// best and spread.
+void json_pool_run(std::FILE* json, const PoolRun& run,
+                   const RateSummary* rate, bool last) {
+  std::fprintf(json, "      {\"workers\": %zu, ", run.workers);
+  if (rate != nullptr) {
+    std::fprintf(json,
+                 "\"repetitions\": %d, \"scenarios_per_sec_best\": %.2f, "
+                 "\"scenarios_per_sec_spread\": %.3f, ",
+                 kLadderRepetitions, rate->best, rate->spread);
+  }
   std::fprintf(
       json,
-      "      {\"workers\": %zu, \"wall_seconds\": %.4f, "
+      "\"wall_seconds\": %.4f, "
       "\"scenarios_per_sec\": %.2f, \"probes_per_sec\": %.1f, "
       "\"events_per_sec\": %.1f, \"probes\": %zu, \"lost\": %zu, "
       "\"peak_rss_bytes\": %zu, \"allocs_per_shard\": %.1f, "
       "\"build_share\": %.3f, "
       "\"stage_seconds\": {\"build\": %.4f, \"simulate\": %.4f, "
       "\"sink\": %.4f, \"merge\": %.4f}}%s\n",
-      run.workers, run.wall_seconds, run.scenarios_per_sec,
+      run.wall_seconds, run.scenarios_per_sec,
       run.probes_per_sec, run.events_per_sec, run.probes, run.lost,
       run.peak_rss, run.allocs_per_shard, run.build_share, run.stage.build,
       run.stage.simulate, run.stage.sink, run.merge_seconds,
@@ -548,7 +620,7 @@ int main(int argc, char** argv) {
                  "    \"scenarios\": %zu,\n"
                  "    \"pool_runs\": [\n",
                  hardware, cores, spec.scenarios.size());
-    json_pool_run(json, run, /*last=*/true);
+    json_pool_run(json, run, /*rate=*/nullptr, /*last=*/true);
     std::fprintf(json,
                  "    ]\n"
                  "  },\n"
@@ -590,42 +662,49 @@ int main(int argc, char** argv) {
   testbed::Campaign sizing(scaling_spec);
   std::printf("scaling grid: %zu lazy shards, %d probe/phone\n",
               sizing.scenario_count(), scaling_spec.probes_per_phone);
-  std::vector<PoolRun> ladder;
+  std::vector<Rung<PoolRun>> ladder;
   for (const std::size_t workers :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
         std::size_t{16}}) {
     if (workers > max_workers && workers != 1) continue;
-    const PoolRun run = run_pool(scaling_spec, workers);
-    ladder.push_back(run);
-    print_pool_run(run);
+    ladder.push_back(run_rung<PoolRun>([&] {
+      const PoolRun run = run_pool(scaling_spec, workers);
+      print_pool_run(run);
+      return run;
+    }));
+    print_rate(workers, ladder.back().rate);
   }
+  // Scaling efficiency compares rung medians: a best-of ratio rewards a
+  // lucky run, a single-run ratio swung across the 1.5x guard.
   double scaling_efficiency = 0;
-  const PoolRun* eight = nullptr;
-  for (const PoolRun& run : ladder) {
-    if (run.workers == 8) eight = &run;
+  const Rung<PoolRun>* eight = nullptr;
+  for (const Rung<PoolRun>& rung : ladder) {
+    if (rung.median().workers == 8) eight = &rung;
   }
-  if (eight != nullptr && !ladder.empty()) {
-    scaling_efficiency = eight->scenarios_per_sec /
-                         ladder.front().scenarios_per_sec;
-    std::printf("  scaling: 8-worker/1-worker scenarios/s = %.2fx "
+  if (eight != nullptr) {
+    scaling_efficiency = eight->rate.median / ladder.front().rate.median;
+    std::printf("  scaling: 8-worker/1-worker median scenarios/s = %.2fx "
                 "(%zu effective cores)\n",
                 scaling_efficiency, cores);
   }
 
   // The fabric rung: the same grid served to forked worker processes.
-  std::vector<FabricRun> fabric_ladder;
+  std::vector<Rung<FabricRun>> fabric_ladder;
   std::printf("fabric (coordinator + forked worker processes, same grid):\n");
   for (const std::size_t workers :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     if (workers > max_workers && workers != 1) continue;
-    const FabricRun run = run_fabric(scaling_spec, workers);
-    fabric_ladder.push_back(run);
-    std::printf(
-        "  workers=%2zu  wall=%.3fs  scenarios/s=%.1f  probes/s=%.0f  "
-        "leases=%zu  lease-roundtrips/s=%.1f\n",
-        run.workers, run.wall_seconds, run.scenarios_per_sec,
-        run.probes_per_sec, run.leases_granted,
-        run.lease_roundtrips_per_sec);
+    fabric_ladder.push_back(run_rung<FabricRun>([&] {
+      const FabricRun run = run_fabric(scaling_spec, workers);
+      std::printf(
+          "  workers=%2zu  wall=%.3fs  scenarios/s=%.1f  probes/s=%.0f  "
+          "leases=%zu  lease-roundtrips/s=%.1f\n",
+          run.workers, run.wall_seconds, run.scenarios_per_sec,
+          run.probes_per_sec, run.leases_granted,
+          run.lease_roundtrips_per_sec);
+      return run;
+    }));
+    print_rate(workers, fabric_ladder.back().rate);
   }
 
   // Per-workload matrix: one row per tool kind on the same 8-scenario
@@ -698,7 +777,8 @@ int main(int argc, char** argv) {
                anchor.events_per_sec / kPreEventCoreEventsPerSec,
                sizing.scenario_count(), scaling_spec.probes_per_phone);
   for (std::size_t i = 0; i < ladder.size(); ++i) {
-    json_pool_run(json, ladder[i], i + 1 == ladder.size());
+    json_pool_run(json, ladder[i].median(), &ladder[i].rate,
+                  i + 1 == ladder.size());
   }
   std::fprintf(json,
                "      ],\n"
@@ -710,13 +790,18 @@ int main(int argc, char** argv) {
                "      \"ladder\": [\n",
                scaling_efficiency, sizing.scenario_count());
   for (std::size_t i = 0; i < fabric_ladder.size(); ++i) {
-    const FabricRun& run = fabric_ladder[i];
+    const FabricRun& run = fabric_ladder[i].median();
+    const RateSummary& rate = fabric_ladder[i].rate;
     std::fprintf(json,
-                 "      {\"workers\": %zu, \"wall_seconds\": %.4f, "
+                 "      {\"workers\": %zu, \"repetitions\": %d, "
+                 "\"scenarios_per_sec_best\": %.2f, "
+                 "\"scenarios_per_sec_spread\": %.3f, "
+                 "\"wall_seconds\": %.4f, "
                  "\"scenarios_per_sec\": %.2f, \"probes_per_sec\": %.1f, "
                  "\"leases_granted\": %zu, "
                  "\"lease_roundtrips_per_sec\": %.2f}%s\n",
-                 run.workers, run.wall_seconds, run.scenarios_per_sec,
+                 run.workers, kLadderRepetitions, rate.best, rate.spread,
+                 run.wall_seconds, run.scenarios_per_sec,
                  run.probes_per_sec, run.leases_granted,
                  run.lease_roundtrips_per_sec,
                  i + 1 < fabric_ladder.size() ? "," : "");
@@ -775,8 +860,9 @@ int main(int argc, char** argv) {
     }
     if (eight == nullptr || scaling_efficiency <= 1.5) {
       std::fprintf(stderr,
-                   "scaling guard: FAILED — 8-worker scenarios/s is only "
-                   "%.2fx the 1-worker row (need > 1.5x on %zu cores)\n",
+                   "scaling guard: FAILED — 8-worker median scenarios/s is "
+                   "only %.2fx the 1-worker median (need > 1.5x on %zu "
+                   "cores)\n",
                    scaling_efficiency, cores);
       return 1;
     }

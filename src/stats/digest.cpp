@@ -13,7 +13,6 @@ MergingDigest::MergingDigest(std::size_t compression)
     : compression_(compression) {
   expects(compression_ >= kMinCompression && compression_ <= kMaxCompression,
           "MergingDigest compression must be in [8, 65536]");
-  buffer_.reserve(4 * compression_);
 }
 
 void MergingDigest::add(double x) {
@@ -74,8 +73,8 @@ void MergingDigest::merge(MergingDigest&& other) {
     // `other`, copies its (already k1-bound) centroids, and re-runs
     // compress() — which is a no-op on an already-compacted list. Adopting
     // the compacted storage wholesale is therefore bit-identical, and the
-    // moved vectors keep their capacities (buffer_ stays at 4*compression),
-    // so later compaction triggers at exactly the same sample counts.
+    // adopted buffer is empty, so later compactions (which trigger on
+    // buffer_.size(), never capacity) fall at the same sample counts.
     other.compress();
     centroids_ = std::move(other.centroids_);
     buffer_ = std::move(other.buffer_);
@@ -267,6 +266,7 @@ MergingDigest MergingDigest::from_snapshot(const DigestSnapshot& snap) {
       0x1p-20 * std::max(std::fabs(snap.min), std::fabs(snap.max));
   double total_weight = 0;
   double prev_mean = snap.min - slack;
+  digest.centroids_.reserve(snap.centroids.size());
   for (const auto& [mean, weight] : snap.centroids) {
     expects(weight > 0 && weight <= 0x1p53 && std::floor(weight) == weight,
             "DigestSnapshot centroid weights must be positive integers");

@@ -44,8 +44,11 @@ class MergingDigest {
  public:
   /// Default compression: at most 129 compacted centroids, a rank error
   /// of at most 0.005 at q in [0.01, 0.99] (the bound test_stats pins on
-  /// bimodal, Pareto and lognormal samples), exact extremes. Footprint: the
-  /// 4 KiB insert buffer plus up to ~2 KiB of centroids.
+  /// bimodal, Pareto and lognormal samples), exact extremes. Footprint:
+  /// sized to content. The insert buffer grows with the samples added since
+  /// the last compaction (at most 4*compression doubles, 4 KiB at the
+  /// default) and the centroids take up to ~2 KiB, so an empty digest holds
+  /// no heap and a one-sample digest one small block.
   static constexpr std::size_t kDefaultCompression = 128;
   /// Accepted compression range. The floor keeps the k1 scale meaningful;
   /// the ceiling keeps 4*compression and the centroid bound far from
@@ -68,10 +71,10 @@ class MergingDigest {
   /// when this digest is still empty (the first shard folded into a
   /// campaign-level slot) it adopts other's compacted centroid storage and
   /// insert buffer wholesale instead of copying them. Compaction triggers on
-  /// buffer_.size() reaching 4*compression, and the adopted buffer is empty
-  /// after other's compress(), so later compactions fall at the same sample
-  /// counts — the t-digest bit-identity contract is untouched. `other` is
-  /// left empty-but-valid.
+  /// buffer_.size() reaching 4*compression (never on capacity), and the
+  /// adopted buffer is empty after other's compress(), so later compactions
+  /// fall at the same sample counts — the t-digest bit-identity contract is
+  /// untouched. `other` is left empty-but-valid with no heap storage.
   void merge(MergingDigest&& other);
 
   /// Number of samples added (exact).

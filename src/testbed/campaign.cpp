@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -840,23 +841,31 @@ CampaignReport Campaign::run(std::size_t workers) {
       const std::size_t end = std::min(begin + batch, pending.size());
       for (std::size_t p = begin; p < end; ++p) {
         const std::size_t index = pending[p];
+        std::optional<ShardResult> result;
         try {
-          ShardResult result = run_shard(index, /*run_sequence=*/p,
-                                         plan.checkpoint, &lane.stage,
-                                         context);
-          // Retire: the frontier folds the result (or parks it until the
-          // cursor arrives) and frees its digests; a retained run keeps it
-          // for the post-join fold.
-          if (spec_.retain_shards) {
-            report.shards[index] = std::move(result);
-          } else {
-            frontier->submit(index, std::move(result));
-          }
+          result = run_shard(index, /*run_sequence=*/p, plan.checkpoint,
+                             &lane.stage, context);
         } catch (...) {
           // Later shards still run; the failure is rethrown after the
-          // loop. A frontier slot is released so the fold cannot stall.
+          // loop.
           failures[p] = std::current_exception();
-          if (!spec_.retain_shards) frontier->abandon(index);
+        }
+        // Retire: the frontier folds the result (or parks it until the
+        // cursor arrives) and frees its digests, or releases a failed
+        // shard's slot so the fold cannot stall; a retained run keeps the
+        // result for the post-join fold. This worker may run the fold, and
+        // a fold step that throws fails the frontier: record it like a
+        // shard failure (finalize() rethrows it too).
+        try {
+          if (spec_.retain_shards) {
+            if (result) report.shards[index] = std::move(*result);
+          } else if (result) {
+            frontier->submit(index, std::move(*result));
+          } else {
+            frontier->abandon(index);
+          }
+        } catch (...) {
+          if (failures[p] == nullptr) failures[p] = std::current_exception();
         }
       }
     }

@@ -190,7 +190,8 @@ struct StageSeconds {
   double sink = 0;
   /// In-order fold of completed shards into the campaign accumulators:
   /// the frontier fold (retain_shards=false; runs on whichever worker
-  /// advances the fold cursor) or the post-join reference fold.
+  /// holds the fold token, concurrently with the others' simulation) or
+  /// the post-join reference fold.
   double merge = 0;
   /// Checkpoint load, validation and compaction (serial, resume only).
   double restore = 0;

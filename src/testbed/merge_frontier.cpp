@@ -25,61 +25,116 @@ ShardResult shard_result_from_checkpoint(report::ShardCheckpoint&& record) {
   return restored;
 }
 
+namespace {
+
+// Held-map size at which submit() stops leaving the fold to the token
+// holder and waits for it to catch up. At 4 workers on the scaling grid
+// the held map stays below it; it paces producers that outrun the fold
+// (e.g. far more workers than cores), keeping memory O(workers + skew).
+constexpr std::size_t kHeldBound = 256;
+
+}  // namespace
+
 MergeFrontier::MergeFrontier(std::vector<Slot> slots,
                              std::function<ShardResult(std::size_t)> feed,
                              CampaignReport::FoldedTotals& totals)
     : slots_(std::move(slots)), feed_(std::move(feed)), totals_(totals) {
-  // Fold any leading restored/skipped run right away: the cursor must
-  // always rest on a fresh slot (or the end), or a resumed tick's fresh
-  // results would all park behind a restored prefix no submit can match.
-  const std::lock_guard<std::mutex> lock(mu_);
-  advance_locked();
+  // Fold any leading restored/skipped run right away, before any producer
+  // exists.
+  std::unique_lock<std::mutex> lock(mu_);
+  fold_if_idle(lock);
 }
 
 void MergeFrontier::submit(std::size_t index, ShardResult&& result) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  expects(index < slots_.size() && slots_[index] == Slot::fresh,
+  std::unique_lock<std::mutex> lock(mu_);
+  if (failure_ != nullptr) return;  // finalize() reports the failure
+  expects(index < slots_.size() && slots_[index] == Slot::fresh &&
+              index >= cursor_ && !held_.contains(index),
           "MergeFrontier::submit on a non-pending slot");
   held_.emplace(index, std::move(result));
   high_water_ = std::max(high_water_, held_.size());
-  advance_locked();
+  if (held_.size() >= kHeldBound) wait_for_folder(lock, /*for_room=*/true);
+  fold_if_idle(lock);
 }
 
 void MergeFrontier::abandon(std::size_t index) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  expects(index < slots_.size() && slots_[index] == Slot::fresh,
+  std::unique_lock<std::mutex> lock(mu_);
+  if (failure_ != nullptr) return;
+  expects(index < slots_.size() && slots_[index] == Slot::fresh &&
+              index >= cursor_ && !held_.contains(index),
           "MergeFrontier::abandon on a non-pending slot");
   slots_[index] = Slot::skipped;
-  advance_locked();
+  fold_if_idle(lock);
 }
 
 void MergeFrontier::finalize() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  advance_locked();
+  std::unique_lock<std::mutex> lock(mu_);
+  wait_for_folder(lock, /*for_room=*/false);
+  fold_if_idle(lock);
+  if (failure_ != nullptr) std::rethrow_exception(failure_);
   expects(cursor_ == slots_.size() && held_.empty(),
           "MergeFrontier::finalize with unfolded shards");
 }
 
-void MergeFrontier::advance_locked() {
-  while (cursor_ < slots_.size()) {
-    switch (slots_[cursor_]) {
-      case Slot::skipped:
-        ++cursor_;
-        break;
-      case Slot::restored:
-        fold(feed_(cursor_));
-        ++cursor_;
-        break;
-      case Slot::fresh: {
-        const auto it = held_.find(cursor_);
-        if (it == held_.end()) return;  // a producer still owns this index
-        fold(std::move(it->second));
-        held_.erase(it);
-        ++cursor_;
-        break;
-      }
+std::size_t MergeFrontier::high_water() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return high_water_;
+}
+
+std::size_t MergeFrontier::held_bound() { return kHeldBound; }
+
+// Blocks until the token holder gives the token up (or the fold failed);
+// with `for_room`, also until the held map has dropped below the bound.
+void MergeFrontier::wait_for_folder(std::unique_lock<std::mutex>& lock,
+                                    bool for_room) {
+  ++waiting_;
+  folder_progress_.wait(lock, [&] {
+    return !folding_ || failure_ != nullptr ||
+           (for_room && held_.size() < kHeldBound);
+  });
+  --waiting_;
+}
+
+bool MergeFrontier::ready_locked() const {
+  if (failure_ != nullptr || cursor_ == slots_.size()) return false;
+  return slots_[cursor_] != Slot::fresh || held_.contains(cursor_);
+}
+
+// Takes the fold token unless another producer holds it, then folds every
+// ready index, dropping mu_ around each fold step. The token is given up in
+// the same mu_ hold that finds the cursor waiting on an unsubmitted shard,
+// so a later submit() finds it free. A throwing fold step fails the
+// frontier and releases the token.
+void MergeFrontier::fold_if_idle(std::unique_lock<std::mutex>& lock) {
+  if (folding_) return;
+  folding_ = true;
+  while (ready_locked()) {
+    const std::size_t index = cursor_++;
+    if (slots_[index] == Slot::skipped) continue;
+    Held::node_type parked;
+    if (slots_[index] == Slot::fresh) parked = held_.extract(index);
+    if (waiting_ > 0 && held_.size() + 1 == kHeldBound) {
+      folder_progress_.notify_all();  // room again for paced submitters
     }
+    lock.unlock();
+    try {
+      if (parked) {
+        fold(std::move(parked.mapped()));
+        parked = {};
+      } else {
+        fold(feed_(index));  // restored: the feed reads outside mu_
+      }
+    } catch (...) {
+      lock.lock();
+      failure_ = std::current_exception();
+      folding_ = false;
+      folder_progress_.notify_all();
+      throw;
+    }
+    lock.lock();
   }
+  folding_ = false;
+  if (waiting_ > 0) folder_progress_.notify_all();
 }
 
 // The one fold step: counters in ascending scenario order (so double sums

@@ -21,13 +21,27 @@
 // streaming ckpt2 records to a coordinator: the frontier never sees the
 // difference.
 //
-// submit()/abandon() never block: the caller either advances the cursor
-// itself (folding under the mutex) or parks its result and returns, so the
-// frontier cannot deadlock against the JSONL reorder window (both are
-// drained in the same ascending order by whoever holds the release point).
+// Combining fold: submit()/abandon() hold the frontier mutex only to park a
+// result or mark a slot. One producer at a time holds the fold token and
+// folds every ready index: it takes each item from the cursor under the
+// mutex and folds it outside it, while every other producer returns to
+// simulating at once. The token is claimed, and given up, under the same
+// mutex hold that parks a result or finds the cursor waiting, so a result
+// is always seen either by the current holder or by its own submitter —
+// none can be stranded. The fold sequence is still the one ascending
+// cursor walk, so the bits do not depend on which thread folds.
+// Back-pressure: once the held map reaches a fixed bound, a submitter
+// parks its result and then waits — until the map drops below the bound
+// or the holder gives the token up — instead of leaving. That paces
+// producers to the fold when they outrun it, keeping held shards
+// O(producers + skew). A single producer, like the fabric coordinator,
+// always finds the token free and never waits. Nothing here waits on a
+// JSONL reorder window, so the frontier cannot deadlock against it.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -59,42 +73,64 @@ class MergeFrontier {
 
   /// `feed` returns the next restored shard from the (ascending, unique)
   /// compacted checkpoint; called exactly once per `restored` slot, in
-  /// ascending index order, under the frontier lock.
+  /// ascending index order, by the fold-token holder (never concurrently).
   MergeFrontier(std::vector<Slot> slots,
                 std::function<ShardResult(std::size_t)> feed,
                 CampaignReport::FoldedTotals& totals);
 
-  /// Folds a freshly-completed shard, or parks it until the cursor arrives.
+  /// Parks a freshly-completed shard and, if the fold token is free, takes
+  /// it and folds every ready index. A fold step that throws (a missing
+  /// restored record, say) propagates from the call that ran it; the
+  /// frontier is then failed: later submit()/abandon() calls drop their
+  /// input and finalize() rethrows.
   void submit(std::size_t index, ShardResult&& result);
 
   /// Releases a failed shard's slot so the fold cannot stall on it (the
-  /// failure itself is the caller's to rethrow/re-lease).
+  /// failure itself is the caller's to rethrow/re-lease). Folds like
+  /// submit(), and can throw like it.
   void abandon(std::size_t index);
 
-  /// Drains any skipped/restored tail after the producers stop; every fresh
-  /// slot must have been submitted or abandoned by then.
+  /// Waits for the fold token's holder to finish, then drains any
+  /// skipped/restored tail after the producers stop; every fresh slot must
+  /// have been submitted or abandoned by then. Rethrows a fold step's
+  /// earlier failure.
   void finalize();
 
-  /// Peak number of out-of-order shards parked at once (memory telemetry).
-  [[nodiscard]] std::size_t high_water() const { return high_water_; }
+  /// Peak number of shards parked at once (memory telemetry).
+  [[nodiscard]] std::size_t high_water() const;
+
+  /// Held-map size at which submit() waits for the fold to catch up.
+  [[nodiscard]] static std::size_t held_bound();
 
   /// Wall seconds the fold steps consumed (StageSeconds::merge). Read after
-  /// finalize() — the fold runs under the frontier lock on whichever
-  /// producer advances the cursor, so the sum is cross-producer like
-  /// build/sink.
+  /// finalize(). Folds run on whichever producer holds the fold token,
+  /// concurrently with the other producers' simulation, so this is fold
+  /// CPU time, not time on the critical path.
   [[nodiscard]] double fold_seconds() const { return fold_seconds_; }
 
  private:
-  void advance_locked();
+  using Held = std::map<std::size_t, ShardResult>;
+
+  void fold_if_idle(std::unique_lock<std::mutex>& lock);
+  void wait_for_folder(std::unique_lock<std::mutex>& lock, bool for_room);
+  [[nodiscard]] bool ready_locked() const;
   void fold(ShardResult&& result);
 
-  std::mutex mu_;
+  // mu_ guards every member below except the fold state.
+  mutable std::mutex mu_;
+  // Signalled when the folder gives up its role or, while submitters wait
+  // for room, when the held map drops below the bound.
+  std::condition_variable folder_progress_;
   std::vector<Slot> slots_;
-  std::function<ShardResult(std::size_t)> feed_;
-  CampaignReport::FoldedTotals& totals_;
-  std::map<std::size_t, ShardResult> held_;
+  Held held_;
   std::size_t cursor_ = 0;
   std::size_t high_water_ = 0;
+  std::size_t waiting_ = 0;
+  bool folding_ = false;  // the fold token: one producer folds at a time
+  std::exception_ptr failure_;
+  // Fold state: touched only by the thread that holds the fold token.
+  std::function<ShardResult(std::size_t)> feed_;
+  CampaignReport::FoldedTotals& totals_;
   double fold_seconds_ = 0;
 };
 

@@ -5,24 +5,35 @@
 // memory claim is pinned by a live-byte-counting global allocator (this
 // binary replaces operator new, which is safe because every test file
 // links into its own binary): the frontier's peak live heap must stay far
-// below the buffered model's O(shards) digest retention.
+// below the buffered model's O(shards) digest retention. The MergeFrontier
+// unit tests drive the combining fold directly from many threads with
+// synthetic shards: bit-identity against a one-thread ascending fold,
+// nothing stranded once producers return, back-pressure, and a throwing
+// fold step.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <new>
+#include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "report/jsonl_sink.hpp"
 #include "sim/contracts.hpp"
 #include "testbed/campaign.hpp"
+#include "testbed/merge_frontier.hpp"
 
 namespace {
 // Atomic live/peak byte tracking: campaign workers allocate concurrently.
@@ -341,18 +352,27 @@ TEST(FrontierCampaign, JsonlExportByteIdenticalToBufferedMode) {
 }
 
 TEST(FrontierCampaign, CompletedShardsReleaseDigestMemory) {
-  // 2000 minimal shards hold ~20 KB of digests each when buffered
-  // (~40 MB); the frontier frees each shard's digests as it folds, so its
-  // peak live heap over the same campaign must stay a small fraction of
-  // the buffered model's. Measured with the binary-wide counting
-  // allocator, peak reset before each run.
+  // The buffered model retains every shard's digests until the report
+  // dies; the frontier frees each shard's digests as it folds, so its peak
+  // live heap over the same campaign must stay a small fraction of the
+  // buffered model's. Measured with the binary-wide counting allocator,
+  // peak reset before each run.
   constexpr std::size_t kShards = 2000;
   reset_peak();
   const std::size_t before = g_live_bytes.load(std::memory_order_relaxed);
+  std::size_t shard_digest_bytes = 0;
   {
     const CampaignReport buffered =
         Campaign(scaled_spec(kShards, /*retain_shards=*/true)).run(1);
     ASSERT_EQ(buffered.completed_shards(), kShards);
+    // What the retained shards' digests hold, measured as the live heap of
+    // a copy of each shard's digest vector.
+    for (const ShardResult& shard : buffered.shards) {
+      const std::size_t live = g_live_bytes.load(std::memory_order_relaxed);
+      const std::vector<report::WorkloadDigest> copy = shard.digests;
+      shard_digest_bytes +=
+          g_live_bytes.load(std::memory_order_relaxed) - live;
+    }
   }
   const std::size_t buffered_peak =
       g_peak_bytes.load(std::memory_order_relaxed) - before;
@@ -369,11 +389,298 @@ TEST(FrontierCampaign, CompletedShardsReleaseDigestMemory) {
       g_peak_bytes.load(std::memory_order_relaxed) - before_frontier;
 
   // The buffered run must actually exhibit the O(shards) retention the
-  // frontier removes (>= 4 KB/shard of digest state), and the frontier
-  // must stay far below it — 1/4 is a loose bound; in practice it is
-  // closer to 1/50 (O(workers) shards live at once instead of all 2000).
-  EXPECT_GT(buffered_peak, kShards * 4096);
+  // frontier removes: its peak holds every shard's digests at once. The
+  // frontier must stay far below it — 1/4 is a loose bound; in practice
+  // O(workers) shards are live at once instead of all 2000.
+  ASSERT_GT(shard_digest_bytes, kShards * sizeof(report::WorkloadDigest));
+  EXPECT_GT(buffered_peak, shard_digest_bytes);
   EXPECT_LT(frontier_peak, buffered_peak / 4);
+}
+
+// ---------------------------------------------------------------------------
+// MergeFrontier driven directly, with synthetic shards.
+
+using Slot = MergeFrontier::Slot;
+
+/// A completed shard whose counters and digests are a pure function of
+/// `index`. Each digest gets several samples and the sim seconds vary in
+/// magnitude, so a fold in any other order changes the bits.
+ShardResult synthetic_shard(std::size_t index) {
+  ShardResult shard;
+  shard.completed = true;
+  shard.scenario_index = index;
+  shard.probes_sent = 3 + index % 5;
+  shard.probes_lost = index % 3;
+  shard.frames_on_air = 11 * index + 2;
+  shard.events_fired = 7 * index + 1;
+  shard.sim_seconds = 0.1 * double(index % 13) + 1e-7 * double(index);
+  const ToolKind kinds[] = {ToolKind::icmp_ping, ToolKind::httping};
+  for (std::size_t k = 0; k < 2; ++k) {
+    if (k == 1 && index % 2 == 0) break;  // odd shards run both kinds
+    report::WorkloadDigest digest;
+    digest.tool = kinds[k];
+    digest.probes = shard.probes_sent;
+    digest.lost = shard.probes_lost;
+    for (std::size_t j = 0; j < 4 + index % 3; ++j) {
+      const double x =
+          1 + 50 * std::fmod(0.618033988749895 * double(index * 7 + j), 1.0);
+      digest.reported_rtt_ms.add(x);
+      digest.dn_ms.add(x / 3);
+    }
+    shard.digests.push_back(std::move(digest));
+  }
+  return shard;
+}
+
+void expect_same_digest(const stats::MergingDigest& a,
+                        const stats::MergingDigest& b) {
+  const stats::DigestSnapshot sa = a.snapshot();
+  const stats::DigestSnapshot sb = b.snapshot();
+  EXPECT_EQ(sa.count, sb.count);
+  EXPECT_EQ(sa.sum, sb.sum);
+  EXPECT_EQ(sa.sum_sq, sb.sum_sq);
+  EXPECT_EQ(sa.min, sb.min);
+  EXPECT_EQ(sa.max, sb.max);
+  EXPECT_EQ(sa.centroids, sb.centroids);
+}
+
+void expect_same_totals(const CampaignReport::FoldedTotals& a,
+                        const CampaignReport::FoldedTotals& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.lost, b.lost);
+  EXPECT_EQ(a.frames, b.frames);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  const std::vector<report::WorkloadDigest> da = a.workloads.snapshot();
+  const std::vector<report::WorkloadDigest> db = b.workloads.snapshot();
+  ASSERT_EQ(da.size(), db.size());
+  for (std::size_t i = 0; i < da.size(); ++i) {
+    EXPECT_EQ(da[i].tool, db[i].tool);
+    EXPECT_EQ(da[i].probes, db[i].probes);
+    EXPECT_EQ(da[i].lost, db[i].lost);
+    expect_same_digest(da[i].reported_rtt_ms, db[i].reported_rtt_ms);
+    expect_same_digest(da[i].dn_ms, db[i].dn_ms);
+  }
+}
+
+/// Restored, skipped and fresh slots interleaved (restored at both ends),
+/// plus the fresh indices a producer abandons instead of submitting.
+struct SlotPlan {
+  std::vector<Slot> slots;
+  std::vector<std::size_t> fresh;
+  std::size_t restored = 0;
+  std::size_t submitted = 0;
+  [[nodiscard]] bool abandons(std::size_t index) const {
+    return index % 11 == 5;
+  }
+};
+
+SlotPlan interleaved_slots(std::size_t count) {
+  SlotPlan plan;
+  for (std::size_t i = 0; i < count; ++i) {
+    const bool restored = i % 7 == 0 || i + 1 == count;
+    plan.slots.push_back(restored      ? Slot::restored
+                         : i % 7 == 3 ? Slot::skipped
+                                      : Slot::fresh);
+    if (restored) ++plan.restored;
+    if (plan.slots.back() != Slot::fresh) continue;
+    plan.fresh.push_back(i);
+    if (!plan.abandons(i)) ++plan.submitted;
+  }
+  return plan;
+}
+
+/// The reference: one thread, one ascending loop over the folded shards,
+/// copy-merging digests like Campaign's retained-mode fold.
+CampaignReport::FoldedTotals ascending_fold(const SlotPlan& plan) {
+  CampaignReport::FoldedTotals totals;
+  for (std::size_t i = 0; i < plan.slots.size(); ++i) {
+    if (plan.slots[i] == Slot::skipped) continue;
+    if (plan.slots[i] == Slot::fresh && plan.abandons(i)) continue;
+    const ShardResult shard = synthetic_shard(i);
+    ++totals.completed;
+    totals.probes += shard.probes_sent;
+    totals.lost += shard.probes_lost;
+    totals.frames += shard.frames_on_air;
+    totals.events += shard.events_fired;
+    totals.sim_seconds += shard.sim_seconds;
+    for (const report::WorkloadDigest& digest : shard.digests) {
+      totals.workloads.slot(digest.tool).merge(digest);
+    }
+  }
+  return totals;
+}
+
+/// Runs `producers` threads that claim `order` front to back and submit
+/// (or abandon) each index; returns once every producer has returned.
+void run_producers(MergeFrontier& frontier, const SlotPlan& plan,
+                   const std::vector<std::size_t>& order,
+                   std::size_t producers) {
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < producers; ++t) {
+    pool.emplace_back([&] {
+      for (std::size_t k = next.fetch_add(1); k < order.size();
+           k = next.fetch_add(1)) {
+        const std::size_t index = order[k];
+        if (plan.abandons(index)) {
+          frontier.abandon(index);
+        } else {
+          frontier.submit(index, synthetic_shard(index));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+}
+
+TEST(MergeFrontierUnit, ShuffledConcurrentFoldMatchesAscendingFold) {
+  const SlotPlan plan = interleaved_slots(3001);
+  std::vector<std::size_t> order = plan.fresh;
+  std::shuffle(order.begin(), order.end(), std::mt19937(2016));
+
+  CampaignReport::FoldedTotals totals;
+  MergeFrontier frontier(plan.slots, &synthetic_shard, totals);
+  run_producers(frontier, plan, order, /*producers=*/8);
+  // Every producer has returned, so every parked shard has been folded —
+  // by the token holder or by its own submitter — restored tail included,
+  // before finalize() runs.
+  EXPECT_EQ(totals.completed, plan.submitted + plan.restored);
+  frontier.finalize();
+  expect_same_totals(totals, ascending_fold(plan));
+}
+
+TEST(MergeFrontierUnit, NothingStrandedOnceProducersReturn) {
+  const SlotPlan plan = interleaved_slots(4001);
+  for (int round = 0; round < 5; ++round) {
+    CampaignReport::FoldedTotals totals;
+    MergeFrontier frontier(plan.slots, &synthetic_shard, totals);
+    run_producers(frontier, plan, plan.fresh, /*producers=*/8);
+    ASSERT_EQ(totals.completed, plan.submitted + plan.restored)
+        << "round " << round;
+    frontier.finalize();
+  }
+}
+
+TEST(MergeFrontierUnit, BackPressureBoundsHeldShardsBehindAHeavyFold) {
+  // Index 1 is restored through a feed that blocks until released: the
+  // producer that folds index 0 holds the fold token for as long as the
+  // test likes. Every other producer parks until the held map reaches the
+  // bound and then waits with one shard parked, so the map stops at
+  // bound + producers - 1 however many shards remain.
+  constexpr std::size_t kProducers = 8;
+  const std::size_t bound = MergeFrontier::held_bound();
+  const std::size_t held_limit = bound + kProducers - 1;
+  const std::size_t fresh = held_limit + 4 * kProducers;
+  std::vector<Slot> slots(2 + fresh, Slot::fresh);
+  slots[1] = Slot::restored;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  CampaignReport::FoldedTotals totals;
+  MergeFrontier frontier(
+      slots,
+      [&entered, released](std::size_t index) {
+        entered.set_value();
+        released.wait();
+        return synthetic_shard(index);
+      },
+      totals);
+
+  // The producers start only once the folder is stuck in the feed with
+  // the token held.
+  std::thread folder([&] { frontier.submit(0, synthetic_shard(0)); });
+  entered.get_future().wait();
+  std::atomic<std::size_t> next{2};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kProducers; ++t) {
+    pool.emplace_back([&] {
+      for (std::size_t index = next.fetch_add(1); index < slots.size();
+           index = next.fetch_add(1)) {
+        frontier.submit(index, synthetic_shard(index));
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (frontier.high_water() < held_limit &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Give unpaced producers time to overshoot, then check they did not.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(frontier.high_water(), held_limit);
+
+  release.set_value();
+  folder.join();
+  for (std::thread& thread : pool) thread.join();
+  frontier.finalize();
+  EXPECT_EQ(totals.completed, slots.size());
+  EXPECT_LE(frontier.high_water(), held_limit);
+}
+
+ShardResult exhausted_feed(std::size_t) {
+  throw sim::ContractViolation(
+      "campaign resume: compacted checkpoint exhausted before all restored "
+      "shards were folded");
+}
+
+TEST(MergeFrontierUnit, ThrowingFoldStepSurfacesOnceAndFailsFinalize) {
+  const std::vector<Slot> slots = {Slot::fresh, Slot::restored, Slot::fresh,
+                                   Slot::fresh};
+  {
+    // submit() runs the fold into the restored slot: the feed's exception
+    // surfaces there, the token is released (nothing below hangs), later
+    // calls drop their input without rethrowing, and finalize() fails.
+    CampaignReport::FoldedTotals totals;
+    MergeFrontier frontier(slots, &exhausted_feed, totals);
+    EXPECT_THROW(frontier.submit(0, synthetic_shard(0)),
+                 sim::ContractViolation);
+    EXPECT_NO_THROW(frontier.submit(3, synthetic_shard(3)));
+    EXPECT_NO_THROW(frontier.abandon(2));
+    EXPECT_THROW(frontier.finalize(), sim::ContractViolation);
+    EXPECT_THROW(frontier.finalize(), sim::ContractViolation);
+  }
+  {
+    // Same through abandon(): releasing a failed shard's slot runs the fold
+    // too, and is where the failure surfaces.
+    CampaignReport::FoldedTotals totals;
+    MergeFrontier frontier(slots, &exhausted_feed, totals);
+    EXPECT_THROW(frontier.abandon(0), sim::ContractViolation);
+    EXPECT_NO_THROW(frontier.submit(2, synthetic_shard(2)));
+    EXPECT_THROW(frontier.finalize(), sim::ContractViolation);
+  }
+}
+
+TEST(MergeFrontierUnit, ThrowingFoldStepUnderConcurrentProducers) {
+  // Campaign::run's retire step: each producer records a throwing submit
+  // as a failure and keeps going. Exactly one call sees the fold fail, no
+  // producer hangs on the token, and finalize() reports the failure.
+  std::vector<Slot> slots(400, Slot::fresh);
+  slots[123] = Slot::restored;
+  CampaignReport::FoldedTotals totals;
+  MergeFrontier frontier(slots, &exhausted_feed, totals);
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> failures{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < 8; ++t) {
+    pool.emplace_back([&] {
+      for (std::size_t index = next.fetch_add(1); index < slots.size();
+           index = next.fetch_add(1)) {
+        if (slots[index] != Slot::fresh) continue;
+        try {
+          frontier.submit(index, synthetic_shard(index));
+        } catch (const sim::ContractViolation&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+  EXPECT_EQ(failures.load(), 1u);
+  EXPECT_EQ(totals.completed, 123u);
+  EXPECT_THROW(frontier.finalize(), sim::ContractViolation);
 }
 
 }  // namespace
