@@ -30,8 +30,8 @@ struct CadenceResult {
 CadenceResult measure_cadence(const phone::PhoneProfile& profile, int db_ms,
                               std::uint64_t seed) {
   constexpr double kEmulatedMs = 85.0;
-  testbed::TestbedConfig config;
-  config.profile = profile;
+  testbed::ScenarioSpec config;
+  config.phones.front().profile = profile;
   config.emulated_rtt = sim::Duration::millis(kEmulatedMs);
   config.seed = seed;
   testbed::Testbed testbed(config);

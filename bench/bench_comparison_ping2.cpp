@@ -25,8 +25,8 @@ namespace {
 
 double ping2_overhead(const phone::PhoneProfile& profile, int rtt_ms,
                       std::uint64_t seed) {
-  testbed::TestbedConfig config;
-  config.profile = profile;
+  testbed::ScenarioSpec config;
+  config.phones.front().profile = profile;
   config.emulated_rtt = sim::Duration::millis(rtt_ms);
   config.seed = seed;
   testbed::Testbed testbed(config);

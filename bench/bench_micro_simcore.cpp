@@ -64,7 +64,7 @@ BENCHMARK(BM_RngTruncatedNormal);
 void BM_StackPipelineTransit(benchmark::State& state) {
   // One packet descending the full five-layer phone stack onto the medium,
   // amortized — the move-based hot path the zero-copy refactor targets.
-  testbed::Testbed testbed{testbed::TestbedConfig{}};
+  testbed::Testbed testbed{testbed::ScenarioSpec{}};
   testbed.phone().set_system_traffic_enabled(false);
   testbed.phone().bus().set_sleep_enabled(false);
   testbed.settle(sim::Duration::millis(700));
@@ -105,7 +105,7 @@ BENCHMARK(BM_FullProbeRoundTrip);
 void BM_CongestedChannelSecond(benchmark::State& state) {
   // One simulated second of a saturated 802.11g channel (10 UDP flows).
   for (auto _ : state) {
-    testbed::TestbedConfig config;
+    testbed::ScenarioSpec config;
     config.congested_phy = true;
     testbed::Testbed testbed(config);
     testbed.settle(Duration::millis(100));

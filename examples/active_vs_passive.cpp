@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
 
   // Fig. 2, with noiseless sniffers so the capture-point samples equal the
   // air-stamp dn exactly (pass a noise in the spec to see radiotap jitter).
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = Duration::millis(rtt_ms);
   config.sniffer_noise = Duration{};
   config.congested_phy = congested;

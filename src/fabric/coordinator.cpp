@@ -67,7 +67,7 @@ testbed::CampaignReport Coordinator::run(
   }
   std::vector<bool> leasable(shard_count, false);
   for (const std::size_t index : plan.pending) leasable[index] = true;
-  std::shared_ptr<report::CheckpointWriter> checkpoint =
+  std::unique_ptr<report::CheckpointWriter> checkpoint =
       std::move(plan.checkpoint);
   testbed::MergeFrontier frontier(std::move(plan.slots),
                                   std::move(plan.restored), report.totals);
@@ -131,14 +131,19 @@ testbed::CampaignReport Coordinator::run(
              : ""));
   };
 
-  // Handles exactly one frame from `conn`; throws on torn frames (the
-  // caller buries the worker).
+  // Handles exactly one frame from `conn`; throws on torn frames and
+  // protocol violations (the caller buries the worker).
   auto handle_frame = [&](Conn& conn) {
     Frame frame;
     if (!read_frame(*conn.transport, frame)) {
       bury(conn, "closed its connection");
       return;
     }
+    // hello comes first and only once: a peer that has not proven it holds
+    // this campaign must not get records folded or leases returned.
+    expects((frame.type == FrameType::hello) ==
+                (conn.state == Conn::State::handshaking),
+            "fabric coordinator: frame out of handshake order");
     switch (frame.type) {
       case FrameType::hello: {
         const HelloBody hello = decode_hello(frame.payload);
@@ -166,8 +171,6 @@ testbed::CampaignReport Coordinator::run(
         break;
       }
       case FrameType::lease_request:
-        expects(conn.state == Conn::State::active,
-                "fabric coordinator: lease_request before handshake");
         try_grant(conn);
         break;
       case FrameType::heartbeat:
@@ -188,9 +191,7 @@ testbed::CampaignReport Coordinator::run(
         // rule collapses duplicates exactly as it does for a re-run shard.
         if (checkpoint != nullptr) checkpoint->append(record);
         if (table.complete(index)) {
-          frontier.submit(index,
-                          testbed::shard_result_from_checkpoint(
-                              std::move(record)));
+          frontier.submit(index, std::move(record));
           ++stats_.shards_merged;
         } else {
           // The re-lease race: another worker already delivered this index.

@@ -24,6 +24,8 @@
 //                                      every append and compaction applies
 //                                      the shared last-wins rule
 //   hash mismatch at hello           → reject frame + close, never leased
+//   frame before hello / 2nd hello   → protocol violation: buried like a
+//                                      torn frame, nothing folded
 //   coordinator death                → its checkpoint file holds every
 //                                      completed shard; the next run
 //                                      restores, compacts and leases only

@@ -20,7 +20,8 @@
 // index. The first claim flips it to done and returns true; later claims
 // return false — the coordinator's cue to count a duplicate and skip the
 // merge (the bytes are identical anyway, shards being pure functions of
-// (spec, seed, index); report::LatestWinsMerge documents the shared rule).
+// (spec, seed, index); report::compact_checkpoint documents the shared
+// rule).
 //
 // grant() hands out the lowest contiguous run of pending indices (capped at
 // batch), so under ascending completion the coordinator's merge frontier

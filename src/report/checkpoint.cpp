@@ -6,10 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <utility>
 
-#include "report/latest_wins.hpp"
 #include "sim/contracts.hpp"
 #include "stats/digest_io.hpp"
 
@@ -172,40 +172,30 @@ bool parse_checkpoint_record(const std::string& line, ShardCheckpoint& out) {
   return false;
 }
 
-void compact_checkpoint(const std::string& path,
-                        const std::vector<ShardCheckpoint>& records) {
-  // LatestWinsMerge is resume's restore rule, so the compacted file reads
-  // like an uninterrupted ascending front-to-back sweep.
-  LatestWinsMerge<const ShardCheckpoint*> latest;
-  for (const ShardCheckpoint& record : records) {
-    latest.claim(record.summary.info.scenario_index, &record);
-  }
-  const std::string temp = path + ".compact";
-  {
-    std::ofstream out(temp, std::ios::trunc);
-    expects(out.is_open(), "compact_checkpoint: cannot open temp file");
-    latest.for_each([&](std::size_t, const ShardCheckpoint* record) {
-      out << render_checkpoint_record(*record);
-    });
-    out.flush();
-    expects(out.good(), "compact_checkpoint: short write to temp file");
-  }
-  durable_replace(temp, path);
-}
-
 void compact_checkpoint(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) return;  // nothing to compact
-  // Pass 1: byte offset of each scenario's winning (last complete) record —
-  // O(shards) offsets, not digests.
-  LatestWinsMerge<std::streamoff> latest;
+  // Pass 1: byte offset of each scenario's winning record.
+  //
+  // The one duplicate-shard rule of the results pipeline: LAST claim wins.
+  // A checkpoint appended across kill/resume ticks, or by a fabric
+  // coordinator that received a shard from both the original lease holder
+  // and the worker the range was re-leased to, can hold several records for
+  // one scenario index. Among them the one appended last wins, and winners
+  // are written in ascending scenario order (the campaign's canonical merge
+  // order). A shard's outcome is a pure function of (spec, campaign seed,
+  // index), so every claimant carries bit-identical bytes: "last wins" is
+  // an arbitrary-but-fixed tiebreak, not a data decision. Resume (and so
+  // the fabric coordinator's resume) reads restored shards back from this
+  // function's output, so it inherits the rule rather than re-deriving it.
+  std::map<std::size_t, std::streamoff> latest;
   {
     ShardCheckpoint record;
     std::string line;
     for (std::streamoff pos = in.tellg(); std::getline(in, line);
          pos = in.tellg()) {
       if (parse_checkpoint_record(line, record)) {
-        latest.claim(record.summary.info.scenario_index, pos);
+        latest.insert_or_assign(record.summary.info.scenario_index, pos);
       }
     }
     in.clear();  // getline hit EOF; clear so the pass-2 seeks work
@@ -216,7 +206,7 @@ void compact_checkpoint(const std::string& path) {
     expects(out.is_open(), "compact_checkpoint: cannot open temp file");
     ShardCheckpoint record;
     std::string line;
-    latest.for_each([&](std::size_t index, std::streamoff pos) {
+    for (const auto& [index, pos] : latest) {
       in.seekg(pos);
       expects(std::getline(in, line).good() || in.eof(),
               "compact_checkpoint: checkpoint shrank during compaction");
@@ -226,7 +216,7 @@ void compact_checkpoint(const std::string& path) {
               "compact_checkpoint: record moved during compaction");
       out << render_checkpoint_record(record);
       in.clear();
-    });
+    }
     out.flush();
     expects(out.good(), "compact_checkpoint: short write to temp file");
   }
@@ -255,28 +245,6 @@ std::vector<ShardCheckpoint> load_checkpoint(const std::string& path) {
     records.push_back(std::move(record));
   });
   return records;
-}
-
-CheckpointSink::CheckpointSink(std::shared_ptr<CheckpointWriter> writer,
-                               std::uint64_t spec_hash)
-    : writer_(std::move(writer)), spec_hash_(spec_hash) {
-  expects(writer_ != nullptr, "CheckpointSink requires a writer");
-}
-
-void CheckpointSink::probe_completed(const ProbeEvent& event) {
-  // Deliberately its own fold (not a view of DigestSink's): the sink stays
-  // self-contained for any chain composition, and fold_probe() guarantees
-  // the persisted bits equal the report's. The duplicate work is ~100
-  // digest adds per shard, noise next to the shard's simulation.
-  fold_probe(fold_, event);
-}
-
-void CheckpointSink::shard_finished(const ShardSummary& summary) {
-  ShardCheckpoint checkpoint;
-  checkpoint.summary = summary;
-  checkpoint.spec_hash = spec_hash_;
-  checkpoint.digests = fold_.take();
-  writer_->append(checkpoint);
 }
 
 }  // namespace acute::report

@@ -4,9 +4,10 @@
 // and the resumed campaign's merged digests must be **bit-identical** to an
 // uninterrupted run for any worker count. Three pieces make that hold:
 //
-//   * CheckpointSink folds a shard's event stream into per-workload digests
-//     (the same fold, same insertion order as DigestSink — so the same
-//     bits) and appends one self-contained record per completed shard.
+//   * A ShardCheckpoint is the one record of a finished shard: Campaign's
+//     run_shard builds it from DigestSink's fold, appends it here right
+//     after the sink chain's shard_finished, and the merge frontier folds
+//     the very same record — so the persisted bits are the report's bits.
 //   * Records serialize doubles as IEEE-754 bit patterns (stats/digest_io),
 //     so a restored digest merges exactly like the one that was dropped.
 //   * load_checkpoint() ignores records without the trailing "end" sentinel
@@ -31,19 +32,19 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "report/digest_sink.hpp"
+#include "report/event.hpp"
 #include "report/line_writer.hpp"
-#include "report/sink.hpp"
 
 namespace acute::report {
 
-/// One completed shard, as persisted: exact counters + per-workload digests
-/// (ascending ToolKind). Raw sample vectors are NOT checkpointed — resume
-/// restores the streaming surface, not keep_samples buffers.
+/// One completed shard: exact counters + per-workload digests (ascending
+/// ToolKind). What a shard returns, the checkpoint appends, a fabric worker
+/// ships and the merge frontier folds. Raw sample vectors are NOT part of
+/// it — resume restores the streaming surface, not keep_samples buffers.
 struct ShardCheckpoint {
   ShardSummary summary;
   /// Fingerprint of the spec that produced this shard (Campaign hashes its
@@ -124,39 +125,17 @@ void for_each_checkpoint(const std::string& path,
 [[nodiscard]] bool parse_checkpoint_record(const std::string& line,
                                            ShardCheckpoint& out);
 
-/// Rewrites `path` to one record per shard: `records` (typically the result
-/// of load_checkpoint) are deduplicated by scenario index — the last record
-/// wins, matching resume's restore order — and written in ascending
-/// scenario order. The rewrite is crash-safe: the temp file is flushed and
-/// fsync'd before being renamed over `path` (with a best-effort directory
-/// fsync after), so a power cut mid-compaction leaves either the old
-/// complete file or the new complete file, never a truncated hybrid. Call
-/// before opening an append-mode CheckpointWriter on the same path.
-void compact_checkpoint(const std::string& path,
-                        const std::vector<ShardCheckpoint>& records);
-
-/// Streaming compaction: same result and crash-safety as the overload
-/// above, without ever materializing the file. Pass 1 records the byte
-/// offset of the last complete record per scenario index (O(shards) offsets,
-/// not digests); pass 2 seeks to each winner in ascending scenario order and
-/// re-renders it into the temp file. A missing file is a no-op.
+/// Rewrites `path` to one record per shard, in ascending scenario order;
+/// among records of the same scenario index the last one in the file wins
+/// (see the rule in checkpoint.cpp). Streams: pass 1 records the byte
+/// offset of each scenario's winner (O(shards) offsets, not digests); pass 2
+/// seeks to each winner in ascending order and re-renders it into a temp
+/// file. The rewrite is crash-safe: the temp file is flushed and fsync'd
+/// before being renamed over `path` (with a best-effort directory fsync
+/// after), so a power cut mid-compaction leaves either the old complete
+/// file or the new complete file, never a truncated hybrid. A missing file
+/// is a no-op. Call before opening an append-mode CheckpointWriter on the
+/// same path.
 void compact_checkpoint(const std::string& path);
-
-/// Per-shard sink: folds the shard's events and appends the record when the
-/// shard finishes. The writer must outlive every shard of the campaign.
-class CheckpointSink : public ResultSink {
- public:
-  /// `spec_hash` is stamped into the record (see ShardCheckpoint).
-  CheckpointSink(std::shared_ptr<CheckpointWriter> writer,
-                 std::uint64_t spec_hash);
-
-  void probe_completed(const ProbeEvent& event) override;
-  void shard_finished(const ShardSummary& summary) override;
-
- private:
-  std::shared_ptr<CheckpointWriter> writer_;
-  std::uint64_t spec_hash_;
-  WorkloadFold fold_;
-};
 
 }  // namespace acute::report

@@ -75,8 +75,8 @@ class WorkloadFold {
 
 /// The one probe-fold rule of the pipeline: counters always, reported RTT
 /// for successful probes, layer digests for fully-stamped ones. DigestSink
-/// and CheckpointSink share it, which is what makes a checkpointed shard's
-/// digests the same bits as the in-memory report's.
+/// applies it; its digests become the shard record that is checkpointed,
+/// shipped and folded, so every copy of a shard carries the same bits.
 void fold_probe(WorkloadFold& fold, const ProbeEvent& event);
 
 class DigestSink : public ResultSink {

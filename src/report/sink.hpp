@@ -1,10 +1,11 @@
 // ResultSink: the pluggable consumer side of the streaming results API.
 //
 // Campaign::run_shard builds one sink chain per shard — the built-in
-// DigestSink/SampleBufferSink that back the CampaignReport compatibility
-// surface, a CheckpointSink when the campaign checkpoints, plus whatever
-// CampaignSpec::sinks (a SinkFactory) returns — and delivers the shard's
-// event stream through it.
+// DigestSink (the shard record's digests) and, with keep_samples,
+// SampleBufferSink (the raw-vector view), plus whatever CampaignSpec::sinks
+// (a SinkFactory) returns — and delivers the shard's event stream through
+// it. The checkpoint is not a sink: run_shard appends the shard's record
+// after the chain's shard_finished.
 //
 // Delivery contract (what a sink may rely on):
 //   * Exactly one shard_started(info), first.
@@ -22,8 +23,7 @@
 //   * All three happen on the worker thread executing the shard; a sink
 //     instance is owned by exactly one shard and needs no locking. Sinks of
 //     different shards run concurrently — anything they *share* (an output
-//     file, a writer) must synchronize internally (see JsonlWriter /
-//     CheckpointWriter).
+//     file, a writer) must synchronize internally (see JsonlWriter).
 #pragma once
 
 #include <functional>

@@ -413,7 +413,7 @@ struct ShardContext::Impl {
   /// Scenario scratch scenario_into() fills per shard (capacity-reusing).
   ScenarioSpec scenario;
   /// Built-in sink scratch, re-added to the chain by reference per shard;
-  /// per-shard sinks (user factory, checkpoint) are chain-owned as before.
+  /// per-shard sinks from the user factory are chain-owned.
   report::SinkChain chain;
   report::DigestSink digests;
   report::SampleBufferSink buffers;
@@ -442,43 +442,66 @@ void Campaign::scenario_into(std::size_t index, ScenarioSpec& out) const {
   }
 }
 
+namespace {
+
+/// The one record-to-view step behind CampaignReport::shards and the public
+/// run_shard(): the record's counters and digests plus, for a shard that
+/// ran with keep_samples, the raw sample vectors (restored records have
+/// none).
+ShardResult shard_result_from_checkpoint(
+    report::ShardCheckpoint&& record,
+    report::SampleBufferSink::Buffers samples = {}) {
+  ShardResult result;
+  result.completed = true;
+  result.scenario_index = record.summary.info.scenario_index;
+  result.shard_seed = record.summary.info.shard_seed;
+  result.phone_count = record.summary.info.phone_count;
+  result.probes_sent = record.summary.probes_sent;
+  result.probes_lost = record.summary.probes_lost;
+  result.frames_on_air = record.summary.frames_on_air;
+  result.events_fired = record.summary.events_fired;
+  result.sim_seconds = record.summary.sim_seconds;
+  result.digests = std::move(record.digests);
+  result.reported_rtt_ms = std::move(samples.reported_rtt_ms);
+  result.du_ms = std::move(samples.du_ms);
+  result.dk_ms = std::move(samples.dk_ms);
+  result.dv_ms = std::move(samples.dv_ms);
+  result.dn_ms = std::move(samples.dn_ms);
+  result.passive_sniffer_rtt_ms = std::move(samples.passive_sniffer_rtt_ms);
+  result.passive_app_rtt_ms = std::move(samples.passive_app_rtt_ms);
+  return result;
+}
+
+}  // namespace
+
 ShardResult Campaign::run_shard(std::size_t scenario_index) const {
   ShardContext context;
-  return run_shard(scenario_index, /*run_sequence=*/0, nullptr, nullptr,
-                   context);
+  return run_shard(scenario_index, context);
 }
 
 ShardResult Campaign::run_shard(std::size_t scenario_index,
                                 ShardContext& context) const {
-  return run_shard(scenario_index, /*run_sequence=*/0, nullptr, nullptr,
-                   context);
+  report::ShardCheckpoint record = run_shard(
+      scenario_index, /*run_sequence=*/0, nullptr, nullptr, context);
+  return shard_result_from_checkpoint(std::move(record),
+                                      context.impl_->buffers.take());
 }
 
 report::ShardCheckpoint Campaign::run_shard_record(
     std::size_t scenario_index, ShardContext& context) const {
-  ShardResult result = run_shard(scenario_index, /*run_sequence=*/0, nullptr,
-                                 nullptr, context);
-  report::ShardCheckpoint record;
-  record.summary.info = report::ShardInfo{scenario_index, result.shard_seed,
-                                          result.phone_count,
-                                          /*run_sequence=*/0};
-  record.summary.probes_sent = result.probes_sent;
-  record.summary.probes_lost = result.probes_lost;
-  record.summary.frames_on_air = result.frames_on_air;
-  record.summary.events_fired = result.events_fired;
-  record.summary.sim_seconds = result.sim_seconds;
+  report::ShardCheckpoint record = run_shard(
+      scenario_index, /*run_sequence=*/0, nullptr, nullptr, context);
   // run_shard left context's scenario scratch holding this shard's spec;
   // hashing it avoids re-materializing the scenario (the hash ignores the
   // seed field run_shard overwrote).
   record.spec_hash = spec_.shard_hash(context.impl_->scenario);
-  record.digests = std::move(result.digests);
   return record;
 }
 
-ShardResult Campaign::run_shard(
+report::ShardCheckpoint Campaign::run_shard(
     std::size_t scenario_index, std::size_t run_sequence,
-    const std::shared_ptr<report::CheckpointWriter>& checkpoint,
-    StageSeconds* stage, ShardContext& context) const {
+    report::CheckpointWriter* checkpoint, StageSeconds* stage,
+    ShardContext& context) const {
   expects(scenario_index < scenario_count(),
           "Campaign::run_shard index out of range");
   expects(context.impl_ != nullptr,
@@ -506,39 +529,21 @@ ShardResult Campaign::run_shard(
   scenario_into(scenario_index, scenario);
   scenario.seed = shard_seed(spec_.seed, scenario_index);
 
-  ShardResult result;
-  result.scenario_index = scenario_index;
-  result.shard_seed = scenario.seed;
-  result.phone_count = scenario.phones.size();
+  report::ShardCheckpoint record;
+  report::ShardSummary& summary = record.summary;
+  summary.info = report::ShardInfo{scenario_index, scenario.seed,
+                                   scenario.phones.size(), run_sequence};
 
-  // The shard's sink chain: built-in sinks backing the ShardResult
-  // compatibility surface (context-resident, added by reference), the
-  // checkpoint sink when the campaign checkpoints, then whatever
-  // CampaignSpec::sinks plugs in.
-  const report::ShardInfo info{scenario_index, scenario.seed,
-                               scenario.phones.size(), run_sequence};
+  // The shard's sink chain: the built-in sinks (context-resident, added by
+  // reference) — DigestSink for the record's digests, SampleBufferSink for
+  // the keep_samples view — then whatever CampaignSpec::sinks plugs in.
   report::SinkChain& chain = ctx.chain;
   chain.add_ref(ctx.digests);
-  report::SampleBufferSink* buffers = nullptr;
-  if (spec_.keep_samples) {
-    buffers = &ctx.buffers;
-    chain.add_ref(ctx.buffers);
-  }
+  if (spec_.keep_samples) chain.add_ref(ctx.buffers);
   if (spec_.sinks) {
-    for (auto& sink : spec_.sinks(info)) chain.add(std::move(sink));
+    for (auto& sink : spec_.sinks(summary.info)) chain.add(std::move(sink));
   }
-  // The checkpoint sink goes LAST: user sinks (e.g. the JSONL export) see
-  // shard_finished before the shard is durably marked complete, so a kill
-  // in between re-runs the shard (detectable duplicate export records)
-  // rather than silently never exporting it.
-  if (checkpoint != nullptr) {
-    // The scenario's seed was overwritten above, but the hash covers only
-    // the outcome-determining shape fields, so hashing the local copy
-    // equals hashing the stored/grid-built spec.
-    chain.add(std::make_unique<report::CheckpointSink>(
-        checkpoint, spec_.shard_hash(scenario)));
-  }
-  chain.shard_started(info);
+  chain.shard_started(summary.info);
 
   // Prune stale tools BEFORE the rebuild: ~MeasurementTool unregisters its
   // flow on the phone it was bound to, so it must run while that phone is
@@ -696,47 +701,38 @@ ShardResult Campaign::run_shard(
                 return a.probe_index < b.probe_index;
               });
     for (const report::ProbeEvent& event : events) {
-      result.probes_sent += 1;
-      if (event.timed_out) result.probes_lost += 1;
+      summary.probes_sent += 1;
+      if (event.timed_out) summary.probes_lost += 1;
       chain.probe_completed(event);
     }
     flush_passive(ctx.pping.samples(), i, report::Vantage::passive_sniffer);
     flush_passive(ctx.per_app.samples(), i, report::Vantage::passive_app);
   }
 
-  // Compose the ShardResult view from the built-in sink outputs.
-  result.digests = ctx.digests.take_digests();
-  if (buffers != nullptr) {
-    report::SampleBufferSink::Buffers taken = buffers->take();
-    result.reported_rtt_ms = std::move(taken.reported_rtt_ms);
-    result.du_ms = std::move(taken.du_ms);
-    result.dk_ms = std::move(taken.dk_ms);
-    result.dv_ms = std::move(taken.dv_ms);
-    result.dn_ms = std::move(taken.dn_ms);
-    result.passive_sniffer_rtt_ms = std::move(taken.passive_sniffer_rtt_ms);
-    result.passive_app_rtt_ms = std::move(taken.passive_app_rtt_ms);
-  }
+  record.digests = ctx.digests.take_digests();
   if (testbed.cross_traffic_running()) testbed.stop_cross_traffic();
-  result.frames_on_air = testbed.channel().frames_transmitted();
-  result.events_fired = testbed.simulator().events_fired();
-  result.sim_seconds =
+  summary.frames_on_air = testbed.channel().frames_transmitted();
+  summary.events_fired = testbed.simulator().events_fired();
+  summary.sim_seconds =
       (testbed.simulator().now() - sim::TimePoint::epoch()).to_seconds();
-  result.completed = true;
-
-  report::ShardSummary summary;
-  summary.info = info;
-  summary.probes_sent = result.probes_sent;
-  summary.probes_lost = result.probes_lost;
-  summary.frames_on_air = result.frames_on_air;
-  summary.events_fired = result.events_fired;
-  summary.sim_seconds = result.sim_seconds;
   chain.shard_finished(summary);
+  // The append follows every sink's shard_finished: user sinks (e.g. the
+  // JSONL export) see the finish before the shard is durably marked
+  // complete, so a kill in between re-runs the shard (detectable duplicate
+  // export records) rather than silently never exporting it.
+  if (checkpoint != nullptr) {
+    // The scenario's seed was overwritten above, but the hash covers only
+    // the outcome-determining shape fields, so hashing the local copy
+    // equals hashing the stored/grid-built spec.
+    record.spec_hash = spec_.shard_hash(scenario);
+    checkpoint->append(record);
+  }
   // Destroy the per-shard owned sinks now (matching the fresh path, where
   // the whole chain died here); the context-resident built-ins stay warm.
   chain.clear();
   if (stage != nullptr) stage->sink += stage_lap();
   ++ctx.shards_run;
-  return result;
+  return record;
 }
 
 namespace {
@@ -803,7 +799,7 @@ CampaignReport Campaign::run(std::size_t workers) {
     report.shards.resize(shard_count);
     for (std::size_t i = 0; i < shard_count; ++i) {
       if (plan.slots[i] == MergeFrontier::Slot::restored) {
-        report.shards[i] = plan.restored(i);
+        report.shards[i] = shard_result_from_checkpoint(plan.restored(i));
       }
     }
   } else {
@@ -841,26 +837,29 @@ CampaignReport Campaign::run(std::size_t workers) {
       const std::size_t end = std::min(begin + batch, pending.size());
       for (std::size_t p = begin; p < end; ++p) {
         const std::size_t index = pending[p];
-        std::optional<ShardResult> result;
+        std::optional<report::ShardCheckpoint> record;
         try {
-          result = run_shard(index, /*run_sequence=*/p, plan.checkpoint,
+          record = run_shard(index, /*run_sequence=*/p, plan.checkpoint.get(),
                              &lane.stage, context);
         } catch (...) {
           // Later shards still run; the failure is rethrown after the
           // loop.
           failures[p] = std::current_exception();
         }
-        // Retire: the frontier folds the result (or parks it until the
+        // Retire: the frontier folds the record (or parks it until the
         // cursor arrives) and frees its digests, or releases a failed
         // shard's slot so the fold cannot stall; a retained run keeps the
-        // result for the post-join fold. This worker may run the fold, and
-        // a fold step that throws fails the frontier: record it like a
-        // shard failure (finalize() rethrows it too).
+        // record's view for the post-join fold. This worker may run the
+        // fold, and a fold step that throws fails the frontier: record it
+        // like a shard failure (finalize() rethrows it too).
         try {
           if (spec_.retain_shards) {
-            if (result) report.shards[index] = std::move(*result);
-          } else if (result) {
-            frontier->submit(index, std::move(*result));
+            if (record) {
+              report.shards[index] = shard_result_from_checkpoint(
+                  std::move(*record), context.impl_->buffers.take());
+            }
+          } else if (record) {
+            frontier->submit(index, std::move(*record));
           } else {
             frontier->abandon(index);
           }

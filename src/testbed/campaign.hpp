@@ -16,11 +16,15 @@
 //     started, one per completed probe, shard finished) through a per-shard
 //     report::ResultSink chain: the built-in DigestSink (fixed-size
 //     per-workload stats::MergingDigest accumulators) and, with
-//     keep_samples, SampleBufferSink (the legacy raw vectors) back the
-//     ShardResult/CampaignReport compatibility surface; CampaignSpec::sinks
-//     plugs arbitrary consumers (JSONL export, checkpointing) into the same
-//     stream. With keep_samples=false campaign memory is O(shards), not
+//     keep_samples, SampleBufferSink (the legacy raw vectors);
+//     CampaignSpec::sinks plugs arbitrary consumers (JSONL export) into the
+//     same stream. With keep_samples=false campaign memory is O(shards), not
 //     O(samples).
+//   * A finished shard is one report::ShardCheckpoint record: its counters
+//     and DigestSink's digests. The same record is appended to the
+//     checkpoint, shipped by a fabric worker, folded by the merge frontier
+//     and, with retain_shards, viewed as the ShardResult in
+//     CampaignReport::shards.
 //   * Every run takes one path: plan_resume() (merge_frontier.hpp) restores
 //     and compacts the checkpoint and classifies the shards, one worker body
 //     executes the pending ones (inline on the caller with one worker), and
@@ -38,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -130,9 +133,9 @@ struct CampaignSpec {
   /// thread-safe; see report::ResultSink for the event-delivery contract and
   /// report::jsonl_sink_factory for a ready-made JSONL exporter.
   report::SinkFactory sinks;
-  /// Non-empty: checkpoint/resume. Every completed shard appends its digests
-  /// + counters here (report::CheckpointSink); Campaign::run skips shards
-  /// already present and restores their ShardResult from the record (raw
+  /// Non-empty: checkpoint/resume. Every completed shard appends its record
+  /// (digests + counters, report::ShardCheckpoint) here; Campaign::run
+  /// skips shards already present and folds their records instead (raw
   /// sample vectors are not checkpointed), so a killed sweep resumes from
   /// the last completed shard with bit-identical merged digests.
   std::string checkpoint_path;
@@ -197,10 +200,11 @@ struct StageSeconds {
   double restore = 0;
 };
 
-/// One scenario's outcome — a view composed from the shard's built-in sink
-/// outputs (DigestSink, SampleBufferSink). Sample vectors hold the
-/// scenario's phones in phone-index order (per-phone probe order within
-/// each phone).
+/// One scenario's outcome as CampaignReport::shards and run_shard() show
+/// it: the shard's record (report::ShardCheckpoint) plus, with
+/// keep_samples, the raw sample vectors SampleBufferSink buffered. Sample
+/// vectors hold the scenario's phones in phone-index order (per-phone probe
+/// order within each phone).
 struct ShardResult {
   /// False until the shard has executed (or been restored from a
   /// checkpoint): a killed/partial run leaves unfinished shards with this
@@ -352,23 +356,26 @@ class Campaign {
                                       ShardContext& context) const;
 
   /// The fabric worker entry: runs one leased shard on `context` and
-  /// returns it as the checkpoint record a single-process campaign would
-  /// have appended — summary counters, this spec's shard_hash() and the
-  /// per-workload digests (DigestSink and CheckpointSink share one fold, so
-  /// the bits are identical). The caller owns merge and persistence:
+  /// returns the record it built — the one a single-process campaign would
+  /// have appended: summary counters, this spec's shard_hash() and the
+  /// per-workload digests. The caller owns merge and persistence:
   /// render_checkpoint_record() turns the record into the ckpt2 wire line a
   /// coordinator folds through MergeFrontier.
   [[nodiscard]] report::ShardCheckpoint run_shard_record(
       std::size_t scenario_index, ShardContext& context) const;
 
  private:
-  /// `run_sequence` is the shard's dense position in this invocation's
-  /// pending order (report::ShardInfo::run_sequence); `stage` (optional)
-  /// accumulates the shard's build/simulate/sink wall seconds.
-  [[nodiscard]] ShardResult run_shard(
+  /// Runs one shard and returns its record (spec_hash stamped only when
+  /// `checkpoint` is non-null, which appends the record after the chain's
+  /// shard_finished). `run_sequence` is the shard's dense position in this
+  /// invocation's pending order (report::ShardInfo::run_sequence); `stage`
+  /// (optional) accumulates the shard's build/simulate/sink wall seconds.
+  /// With keep_samples the raw samples stay in the context's buffers for
+  /// the ShardResult view.
+  [[nodiscard]] report::ShardCheckpoint run_shard(
       std::size_t scenario_index, std::size_t run_sequence,
-      const std::shared_ptr<report::CheckpointWriter>& checkpoint,
-      StageSeconds* stage, ShardContext& context) const;
+      report::CheckpointWriter* checkpoint, StageSeconds* stage,
+      ShardContext& context) const;
 
   /// Materializes shard `index`'s scenario into `out` (capacity-reusing;
   /// the grid path delegates to ScenarioGrid::at_into, the materialized

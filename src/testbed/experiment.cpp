@@ -34,8 +34,8 @@ MultiLayerResult collect(Testbed& testbed, tools::MeasurementTool& tool) {
 }  // namespace
 
 MultiLayerResult Experiment::ping(const PingSpec& spec) {
-  TestbedConfig config;
-  config.profile = spec.profile;
+  ScenarioSpec config;
+  config.phones.front().profile = spec.profile;
   config.seed = spec.seed;
   config.emulated_rtt = spec.emulated_rtt;
   Testbed testbed(config);
@@ -54,8 +54,8 @@ MultiLayerResult Experiment::ping(const PingSpec& spec) {
 
 Experiment::DriverDelayResult Experiment::driver_delays(
     const DriverDelaySpec& spec) {
-  TestbedConfig config;
-  config.profile = spec.profile;
+  ScenarioSpec config;
+  config.phones.front().profile = spec.profile;
   config.seed = spec.seed;
   config.emulated_rtt = spec.emulated_rtt;
   Testbed testbed(config);
@@ -79,8 +79,8 @@ Experiment::DriverDelayResult Experiment::driver_delays(
 }
 
 MultiLayerResult Experiment::acutemon(const AcuteMonSpec& spec) {
-  TestbedConfig config;
-  config.profile = spec.profile;
+  ScenarioSpec config;
+  config.phones.front().profile = spec.profile;
   config.seed = spec.seed;
   config.emulated_rtt = spec.emulated_rtt;
   config.congested_phy = spec.cross_traffic;
@@ -118,8 +118,8 @@ MultiLayerResult Experiment::tool(const ToolSpec& spec) {
     return acutemon(am);
   }
 
-  TestbedConfig config;
-  config.profile = spec.profile;
+  ScenarioSpec config;
+  config.phones.front().profile = spec.profile;
   config.seed = spec.seed;
   config.emulated_rtt = spec.emulated_rtt;
   config.congested_phy = spec.cross_traffic;
@@ -243,8 +243,8 @@ Experiment::TimeoutInference Experiment::infer_timeouts(
   // --- Tis: binary-search the idle gap for the bus-wake onset.
   const core::TimeoutProber::GapProbeFn gap_probe =
       [&](Duration idle_gap, int probe_count) {
-        TestbedConfig config;
-        config.profile = profile;
+        ScenarioSpec config;
+        config.phones.front().profile = profile;
         config.seed = seed + 5000 + run_counter++;
         config.emulated_rtt = sim::Duration::millis(5);
         Testbed testbed(config);

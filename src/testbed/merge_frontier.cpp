@@ -10,21 +10,6 @@ namespace acute::testbed {
 
 using sim::expects;
 
-ShardResult shard_result_from_checkpoint(report::ShardCheckpoint&& record) {
-  ShardResult restored;
-  restored.completed = true;
-  restored.scenario_index = record.summary.info.scenario_index;
-  restored.shard_seed = record.summary.info.shard_seed;
-  restored.phone_count = record.summary.info.phone_count;
-  restored.probes_sent = record.summary.probes_sent;
-  restored.probes_lost = record.summary.probes_lost;
-  restored.frames_on_air = record.summary.frames_on_air;
-  restored.events_fired = record.summary.events_fired;
-  restored.sim_seconds = record.summary.sim_seconds;
-  restored.digests = std::move(record.digests);
-  return restored;
-}
-
 namespace {
 
 // Held-map size at which submit() stops leaving the fold to the token
@@ -35,9 +20,10 @@ constexpr std::size_t kHeldBound = 256;
 
 }  // namespace
 
-MergeFrontier::MergeFrontier(std::vector<Slot> slots,
-                             std::function<ShardResult(std::size_t)> feed,
-                             CampaignReport::FoldedTotals& totals)
+MergeFrontier::MergeFrontier(
+    std::vector<Slot> slots,
+    std::function<report::ShardCheckpoint(std::size_t)> feed,
+    CampaignReport::FoldedTotals& totals)
     : slots_(std::move(slots)), feed_(std::move(feed)), totals_(totals) {
   // Fold any leading restored/skipped run right away, before any producer
   // exists.
@@ -45,13 +31,14 @@ MergeFrontier::MergeFrontier(std::vector<Slot> slots,
   fold_if_idle(lock);
 }
 
-void MergeFrontier::submit(std::size_t index, ShardResult&& result) {
+void MergeFrontier::submit(std::size_t index,
+                           report::ShardCheckpoint&& record) {
   std::unique_lock<std::mutex> lock(mu_);
   if (failure_ != nullptr) return;  // finalize() reports the failure
   expects(index < slots_.size() && slots_[index] == Slot::fresh &&
               index >= cursor_ && !held_.contains(index),
           "MergeFrontier::submit on a non-pending slot");
-  held_.emplace(index, std::move(result));
+  held_.emplace(index, std::move(record));
   high_water_ = std::max(high_water_, held_.size());
   if (held_.size() >= kHeldBound) wait_for_folder(lock, /*for_room=*/true);
   fold_if_idle(lock);
@@ -140,15 +127,16 @@ void MergeFrontier::fold_if_idle(std::unique_lock<std::mutex>& lock) {
 // The one fold step: counters in ascending scenario order (so double sums
 // match the buffered accessors bit for bit), then the consuming digest
 // merge that frees the shard's buffers.
-void MergeFrontier::fold(ShardResult&& result) {
+void MergeFrontier::fold(report::ShardCheckpoint&& record) {
   const auto start = std::chrono::steady_clock::now();
+  const report::ShardSummary& summary = record.summary;
   ++totals_.completed;
-  totals_.probes += result.probes_sent;
-  totals_.lost += result.probes_lost;
-  totals_.frames += result.frames_on_air;
-  totals_.events += result.events_fired;
-  totals_.sim_seconds += result.sim_seconds;
-  totals_.workloads.fold_shard(std::move(result.digests));
+  totals_.probes += summary.probes_sent;
+  totals_.lost += summary.probes_lost;
+  totals_.frames += summary.frames_on_air;
+  totals_.events += summary.events_fired;
+  totals_.sim_seconds += summary.sim_seconds;
+  totals_.workloads.fold_shard(std::move(record.digests));
   fold_seconds_ += std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -181,7 +169,7 @@ ResumePlan plan_resume(const Campaign& campaign) {
     }
     reader = std::make_shared<report::CheckpointReader>(spec.checkpoint_path);
     plan.checkpoint =
-        std::make_shared<report::CheckpointWriter>(spec.checkpoint_path);
+        std::make_unique<report::CheckpointWriter>(spec.checkpoint_path);
     plan.restore_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start)
                                .count();
@@ -193,7 +181,7 @@ ResumePlan plan_resume(const Campaign& campaign) {
             "restored shards were folded");
     expects(record.summary.info.scenario_index == expected_index,
             "campaign resume: compacted checkpoint out of order");
-    return shard_result_from_checkpoint(std::move(record));
+    return record;
   };
 
   // The kill / incremental-sweep knob caps how many pending shards this

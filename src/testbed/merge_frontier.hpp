@@ -11,6 +11,10 @@
 // order to O(producers × batch), the same skew bound as the JSONL window —
 // so peak digest retention is O(producers), not O(shards).
 //
+// What it folds is the shard record (report::ShardCheckpoint) itself: the
+// one a worker thread's run_shard builds, a fabric worker ships as its
+// shard_done line, and the checkpoint feeds back on resume.
+//
 // Order proof: the cursor visits indices strictly ascending and folds
 // exactly the shards a retained run keeps completed (fresh submissions,
 // checkpoint-restored records, nothing for skipped/abandoned ones), so the
@@ -53,13 +57,6 @@
 
 namespace acute::testbed {
 
-/// Rebuilds the ShardResult view a completed shard would have produced with
-/// keep_samples=false from its checkpoint record (digests deserialize
-/// bit-identically; raw sample vectors are not checkpointed). Consumes the
-/// record's digests.
-[[nodiscard]] ShardResult shard_result_from_checkpoint(
-    report::ShardCheckpoint&& record);
-
 /// See the file comment. Thread-safe; a reference to the FoldedTotals the
 /// fold writes into must outlive the frontier.
 class MergeFrontier {
@@ -75,15 +72,15 @@ class MergeFrontier {
   /// compacted checkpoint; called exactly once per `restored` slot, in
   /// ascending index order, by the fold-token holder (never concurrently).
   MergeFrontier(std::vector<Slot> slots,
-                std::function<ShardResult(std::size_t)> feed,
+                std::function<report::ShardCheckpoint(std::size_t)> feed,
                 CampaignReport::FoldedTotals& totals);
 
-  /// Parks a freshly-completed shard and, if the fold token is free, takes
-  /// it and folds every ready index. A fold step that throws (a missing
-  /// restored record, say) propagates from the call that ran it; the
-  /// frontier is then failed: later submit()/abandon() calls drop their
+  /// Parks a freshly-completed shard's record and, if the fold token is
+  /// free, takes it and folds every ready index. A fold step that throws (a
+  /// missing restored record, say) propagates from the call that ran it;
+  /// the frontier is then failed: later submit()/abandon() calls drop their
   /// input and finalize() rethrows.
-  void submit(std::size_t index, ShardResult&& result);
+  void submit(std::size_t index, report::ShardCheckpoint&& record);
 
   /// Releases a failed shard's slot so the fold cannot stall on it (the
   /// failure itself is the caller's to rethrow/re-lease). Folds like
@@ -109,12 +106,12 @@ class MergeFrontier {
   [[nodiscard]] double fold_seconds() const { return fold_seconds_; }
 
  private:
-  using Held = std::map<std::size_t, ShardResult>;
+  using Held = std::map<std::size_t, report::ShardCheckpoint>;
 
   void fold_if_idle(std::unique_lock<std::mutex>& lock);
   void wait_for_folder(std::unique_lock<std::mutex>& lock, bool for_room);
   [[nodiscard]] bool ready_locked() const;
-  void fold(ShardResult&& result);
+  void fold(report::ShardCheckpoint&& record);
 
   // mu_ guards every member below except the fold state.
   mutable std::mutex mu_;
@@ -129,7 +126,7 @@ class MergeFrontier {
   bool folding_ = false;  // the fold token: one producer folds at a time
   std::exception_ptr failure_;
   // Fold state: touched only by the thread that holds the fold token.
-  std::function<ShardResult(std::size_t)> feed_;
+  std::function<report::ShardCheckpoint(std::size_t)> feed_;
   CampaignReport::FoldedTotals& totals_;
   double fold_seconds_ = 0;
 };
@@ -143,9 +140,9 @@ struct ResumePlan {
   std::vector<std::size_t> pending;
   /// Restored-record feed over the compacted checkpoint: call once per
   /// restored slot, in ascending index order (MergeFrontier's feed).
-  std::function<ShardResult(std::size_t)> restored;
+  std::function<report::ShardCheckpoint(std::size_t)> restored;
   /// Appender for newly completed shards; null without a checkpoint_path.
-  std::shared_ptr<report::CheckpointWriter> checkpoint;
+  std::unique_ptr<report::CheckpointWriter> checkpoint;
   std::size_t restored_count = 0;
   double restore_seconds = 0;
 };

@@ -9,11 +9,11 @@
 // (each with its own PhoneProfile, i.e. heterogeneous handsets contending on
 // one channel), the emulated path RTT, the PHY mode, the cross-traffic load
 // and the sniffer array. The paper's Fig. 2 single-phone topology is the
-// default spec, so `Testbed{}` (and the TestbedConfig compatibility struct)
-// reproduce the original testbed bit for bit: the measurement server's
-// netem qdisc emulates the path RTT; the wireless load generator pushes ten
-// 2.5 Mbit/s UDP flows at the load server to congest the WLAN; three
-// sniffers capture every frame for the t_n vantage point.
+// default spec, so `Testbed{}` reproduces the original testbed bit for
+// bit: the measurement server's netem qdisc emulates the path RTT; the
+// wireless load generator pushes ten 2.5 Mbit/s UDP flows at the load
+// server to congest the WLAN; three sniffers capture every frame for the
+// t_n vantage point.
 #pragma once
 
 #include <cstdint>
@@ -68,30 +68,6 @@ class WirelessHost {
   sim::Rng rng_;
   net::NodeId id_;
   wifi::Station station_;
-};
-
-/// Single-phone testbed knobs — the original Fig. 2 configuration surface,
-/// kept as the convenience front-end for the common case. Converted into a
-/// one-phone ScenarioSpec by the Testbed constructor.
-struct TestbedConfig {
-  /// The handset under test (its PSM/SDIO/runtime parameters).
-  phone::PhoneProfile profile = phone::PhoneProfile::nexus5();
-  /// Root rng seed every component stream is forked from.
-  std::uint64_t seed = 42;
-  /// tc-netem delay on the measurement server (one-way, on its egress).
-  sim::Duration emulated_rtt = sim::Duration{};
-  /// Netem delay jitter on the same egress (paper setup: 1.5 ms).
-  sim::Duration netem_jitter = sim::Duration::millis(1.5);
-  /// Use the mixed-mode PHY (protection, degraded rate) — the §4.3
-  /// congested-WLAN configuration. Enable whenever cross traffic runs.
-  bool congested_phy = false;
-  /// iPerf cross-traffic shape: N parallel UDP flows of this rate each.
-  std::size_t cross_connections = 10;
-  double cross_flow_mbps = 2.5;
-  /// When true the AP answers TTL=1 packets with ICMP time-exceeded.
-  bool send_ttl_exceeded = false;
-  /// Sniffer radiotap timestamp noise (microsecond scale).
-  sim::Duration sniffer_noise = sim::Duration::micros(2);
 };
 
 /// Per-phone measurement workload: which tool the campaign engine runs on
@@ -187,7 +163,11 @@ class CellularGateway : public net::Node {
 };
 
 /// Full scenario description: N heterogeneous phones contending on one
-/// channel plus the wired fabric and load infrastructure of Fig. 2.
+/// channel plus the wired fabric and load infrastructure of Fig. 2. A
+/// default-constructed ScenarioSpec is the paper's Fig. 2 topology: one
+/// Nexus 5 (phone 0), three sniffers, no emulated delay, an uncongested
+/// PHY. Single-phone call sites set the handset through
+/// `phones.front().profile`.
 struct ScenarioSpec {
   /// The handsets under test, all contending on one channel (>= 1).
   std::vector<PhoneSpec> phones{PhoneSpec{}};
@@ -217,9 +197,6 @@ struct ScenarioSpec {
   /// When true the netem egress may release packets out of order under
   /// jitter (plain netem forbids reordering; this is the "reorder" option).
   bool netem_reorder = false;
-
-  /// The paper's Fig. 2 defaults as a scenario (what TestbedConfig maps to).
-  [[nodiscard]] static ScenarioSpec fig2(const TestbedConfig& config = {});
 
   /// Heterogeneous per-phone workloads within ONE scenario: assigns
   /// mix[i % mix.size()] to phone i (round-robin), so e.g. a 4-phone
@@ -253,14 +230,13 @@ class Testbed {
                             static_cast<net::NodeId>(index - 1);
   }
 
-  /// Builds the scenario described by `spec` (requires >= 1 phone).
-  explicit Testbed(ScenarioSpec spec);
+  /// Builds the scenario described by `spec` (requires >= 1 phone); the
+  /// default is the Fig. 2 topology.
+  explicit Testbed(ScenarioSpec spec = {});
   /// Builds the scenario on an externally-owned simulator (the shard-context
   /// pool shares one warm simulator across many testbed rebuilds). The
   /// simulator must be freshly constructed or reset().
   Testbed(ScenarioSpec spec, sim::Simulator& sim);
-  /// Fig. 2 compatibility front-end: a single-phone scenario.
-  explicit Testbed(TestbedConfig config = {});
 
   /// Tears the previous scenario down logically (simulator reset, all
   /// pending events cancelled) and builds `spec` in place, reusing every

@@ -7,7 +7,7 @@
 // links into its own binary): the frontier's peak live heap must stay far
 // below the buffered model's O(shards) digest retention. The MergeFrontier
 // unit tests drive the combining fold directly from many threads with
-// synthetic shards: bit-identity against a one-thread ascending fold,
+// synthetic shard records: bit-identity against a one-thread ascending fold,
 // nothing stranded once producers return, back-pressure, and a throwing
 // fold step.
 #include <gtest/gtest.h>
@@ -398,29 +398,30 @@ TEST(FrontierCampaign, CompletedShardsReleaseDigestMemory) {
 }
 
 // ---------------------------------------------------------------------------
-// MergeFrontier driven directly, with synthetic shards.
+// MergeFrontier driven directly, with synthetic shard records.
 
 using Slot = MergeFrontier::Slot;
 
-/// A completed shard whose counters and digests are a pure function of
-/// `index`. Each digest gets several samples and the sim seconds vary in
-/// magnitude, so a fold in any other order changes the bits.
-ShardResult synthetic_shard(std::size_t index) {
-  ShardResult shard;
-  shard.completed = true;
-  shard.scenario_index = index;
-  shard.probes_sent = 3 + index % 5;
-  shard.probes_lost = index % 3;
-  shard.frames_on_air = 11 * index + 2;
-  shard.events_fired = 7 * index + 1;
-  shard.sim_seconds = 0.1 * double(index % 13) + 1e-7 * double(index);
+/// A completed shard's record whose counters and digests are a pure
+/// function of `index`. Each digest gets several samples and the sim
+/// seconds vary in magnitude, so a fold in any other order changes the
+/// bits.
+report::ShardCheckpoint synthetic_shard(std::size_t index) {
+  report::ShardCheckpoint shard;
+  report::ShardSummary& summary = shard.summary;
+  summary.info.scenario_index = index;
+  summary.probes_sent = 3 + index % 5;
+  summary.probes_lost = index % 3;
+  summary.frames_on_air = 11 * index + 2;
+  summary.events_fired = 7 * index + 1;
+  summary.sim_seconds = 0.1 * double(index % 13) + 1e-7 * double(index);
   const ToolKind kinds[] = {ToolKind::icmp_ping, ToolKind::httping};
   for (std::size_t k = 0; k < 2; ++k) {
     if (k == 1 && index % 2 == 0) break;  // odd shards run both kinds
     report::WorkloadDigest digest;
     digest.tool = kinds[k];
-    digest.probes = shard.probes_sent;
-    digest.lost = shard.probes_lost;
+    digest.probes = summary.probes_sent;
+    digest.lost = summary.probes_lost;
     for (std::size_t j = 0; j < 4 + index % 3; ++j) {
       const double x =
           1 + 50 * std::fmod(0.618033988749895 * double(index * 7 + j), 1.0);
@@ -498,13 +499,13 @@ CampaignReport::FoldedTotals ascending_fold(const SlotPlan& plan) {
   for (std::size_t i = 0; i < plan.slots.size(); ++i) {
     if (plan.slots[i] == Slot::skipped) continue;
     if (plan.slots[i] == Slot::fresh && plan.abandons(i)) continue;
-    const ShardResult shard = synthetic_shard(i);
+    const report::ShardCheckpoint shard = synthetic_shard(i);
     ++totals.completed;
-    totals.probes += shard.probes_sent;
-    totals.lost += shard.probes_lost;
-    totals.frames += shard.frames_on_air;
-    totals.events += shard.events_fired;
-    totals.sim_seconds += shard.sim_seconds;
+    totals.probes += shard.summary.probes_sent;
+    totals.lost += shard.summary.probes_lost;
+    totals.frames += shard.summary.frames_on_air;
+    totals.events += shard.summary.events_fired;
+    totals.sim_seconds += shard.summary.sim_seconds;
     for (const report::WorkloadDigest& digest : shard.digests) {
       totals.workloads.slot(digest.tool).merge(digest);
     }
@@ -620,7 +621,7 @@ TEST(MergeFrontierUnit, BackPressureBoundsHeldShardsBehindAHeavyFold) {
   EXPECT_LE(frontier.high_water(), held_limit);
 }
 
-ShardResult exhausted_feed(std::size_t) {
+report::ShardCheckpoint exhausted_feed(std::size_t) {
   throw sim::ContractViolation(
       "campaign resume: compacted checkpoint exhausted before all restored "
       "shards were folded");

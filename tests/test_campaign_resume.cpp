@@ -301,8 +301,8 @@ TEST(CampaignResume, RestoredShardsCarryCountersButNoSamples) {
 }
 
 /// A user sink that fails its shard at shard_finished — after the shard has
-/// simulated, before the checkpoint sink (always last in the chain) records
-/// it — as a broken exporter would.
+/// simulated, before the checkpoint append (which follows every sink's
+/// shard_finished) records it — as a broken exporter would.
 class FailingSink : public report::ResultSink {
  public:
   explicit FailingSink(std::size_t index) : index_(index) {}

@@ -25,7 +25,7 @@ tools::MeasurementTool::Config mt_config(int probes) {
 }
 
 TEST(AcuteMon, WarmupPrecedesFirstProbeByDpre) {
-  testbed::TestbedConfig tb_config;
+  testbed::ScenarioSpec tb_config;
   tb_config.emulated_rtt = 30_ms;
   Testbed testbed(tb_config);
   testbed.settle(800_ms);
@@ -46,7 +46,7 @@ TEST(AcuteMon, WarmupPrecedesFirstProbeByDpre) {
 
 TEST(AcuteMon, BackgroundCadenceMatchesPaperEstimate) {
   // §4.1: K = 5 probes on a 100 ms path -> ~25 background packets.
-  testbed::TestbedConfig tb_config;
+  testbed::ScenarioSpec tb_config;
   tb_config.emulated_rtt = 100_ms;
   Testbed testbed(tb_config);
   testbed.settle(800_ms);
@@ -57,7 +57,7 @@ TEST(AcuteMon, BackgroundCadenceMatchesPaperEstimate) {
 }
 
 TEST(AcuteMon, KeepAlivesDieAtTheGateway) {
-  testbed::TestbedConfig tb_config;
+  testbed::ScenarioSpec tb_config;
   tb_config.emulated_rtt = 50_ms;
   Testbed testbed(tb_config);
   testbed.phone().set_system_traffic_enabled(false);
@@ -75,9 +75,10 @@ TEST(AcuteMon, KeepAlivesDieAtTheGateway) {
 }
 
 TEST(AcuteMon, PhoneNeverDozesDuringMeasurement) {
-  testbed::TestbedConfig tb_config;
-  tb_config.profile = phone::PhoneProfile::nexus4();  // Tip ~40 ms
-  tb_config.emulated_rtt = 135_ms;                    // longer than Tip
+  testbed::ScenarioSpec tb_config;
+  tb_config.phones.front().profile =
+      phone::PhoneProfile::nexus4();  // Tip ~40 ms
+  tb_config.emulated_rtt = 135_ms;    // longer than Tip
   Testbed testbed(tb_config);
   testbed.settle(800_ms);
   const auto dozes_before = testbed.phone().station().doze_count();
@@ -113,7 +114,7 @@ TEST(AcuteMon, DisabledBackgroundSendsNone) {
 }
 
 TEST(AcuteMon, HttpProbeMethodWorks) {
-  testbed::TestbedConfig tb_config;
+  testbed::ScenarioSpec tb_config;
   tb_config.emulated_rtt = 30_ms;
   Testbed testbed(tb_config);
   testbed.settle(800_ms);

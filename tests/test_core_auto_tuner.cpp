@@ -69,8 +69,8 @@ TEST(AutoTuner, TunedParametersHoldAnAggressivePhoneAwake) {
   aggressive.psm_timeout = 16_ms;
 
   const auto run_with = [&](AcuteMon::Options options) {
-    testbed::TestbedConfig config;
-    config.profile = aggressive;
+    testbed::ScenarioSpec config;
+    config.phones.front().profile = aggressive;
     config.emulated_rtt = 85_ms;
     testbed::Testbed testbed(config);
     testbed.settle(800_ms);

@@ -5,8 +5,9 @@
 // schedule. The fault paths are exercised in-process: a worker killed
 // mid-lease (WorkerConfig::max_shards closes the transport exactly like
 // SIGKILL), a torn wire frame, a stalled lease expiring past its heartbeat
-// deadline, duplicate completions from the re-lease race, and a mismatched
-// worker rejected at the hello handshake.
+// deadline, duplicate completions from the re-lease race, a mismatched
+// worker rejected at the hello handshake, and peers that send frames out of
+// handshake order.
 #include <gtest/gtest.h>
 #include <poll.h>
 
@@ -630,6 +631,85 @@ TEST(Fabric, DuplicateCompletionsFromTheReLeaseRaceAreTolerated) {
   EXPECT_EQ(coordinator.stats().shards_merged, 8u);
   EXPECT_NE(log.str().find("duplicate completion"), std::string::npos);
   expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
+}
+
+TEST(Fabric, FramesBeforeHandshakeBuryThePeer) {
+  // A peer that never said hello sends a valid shard_done for shard 0. It
+  // has proven nothing (protocol, spec, seed), so the frame is a protocol
+  // violation that buries it: its record is never folded, and the one real
+  // worker runs every shard of the campaign itself.
+  const CampaignSpec spec = small_spec();
+  const Campaign campaign(spec);
+  auto raw = transport_pair();
+  testbed::ShardContext context;
+  ShardDoneBody done;
+  done.lease_id = 1;
+  done.record_line =
+      report::render_checkpoint_record(campaign.run_shard_record(0, context));
+  write_frame(*raw.second, FrameType::shard_done, encode_shard_done(done));
+
+  auto good = transport_pair();
+  std::size_t worker_shards = 0;
+  std::thread good_thread(
+      [end = std::move(good.second), spec, &worker_shards]() mutable {
+        Worker worker(spec);
+        worker_shards = worker.run(*end);
+      });
+  std::vector<std::unique_ptr<Transport>> ends;
+  ends.push_back(std::move(raw.first));  // listed first: handled first
+  ends.push_back(std::move(good.first));
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.log = &log;
+  Coordinator coordinator(spec, config);
+  await_hellos(ends);
+  const CampaignReport report = coordinator.run(std::move(ends));
+  good_thread.join();
+
+  EXPECT_EQ(coordinator.stats().duplicate_shards, 0u);
+  EXPECT_EQ(coordinator.stats().workers_joined, 1u);
+  EXPECT_EQ(coordinator.stats().workers_died, 0u);
+  EXPECT_EQ(worker_shards, campaign.scenario_count());
+  EXPECT_NE(log.str().find("out of handshake order"), std::string::npos);
+  expect_reports_bit_identical(report, Campaign(small_spec()).run(1));
+}
+
+TEST(Fabric, SecondHelloBuriesThePeer) {
+  // A peer that completed the handshake and says hello again is out of
+  // protocol too: it gets its hello_ok, then its connection is closed, and
+  // the real worker finishes the campaign bit-identically.
+  const CampaignSpec spec = small_spec();
+  HelloBody hello;
+  hello.spec_hash = spec.spec_hash();
+  hello.seed = spec.seed;
+  hello.shard_count = Campaign(spec).scenario_count();
+  auto raw = transport_pair();
+  write_frame(*raw.second, FrameType::hello, encode_hello(hello));
+  write_frame(*raw.second, FrameType::hello, encode_hello(hello));
+
+  auto good = transport_pair();
+  std::thread good_thread([end = std::move(good.second), spec]() mutable {
+    Worker worker(spec);
+    (void)worker.run(*end);
+  });
+  std::vector<std::unique_ptr<Transport>> ends;
+  ends.push_back(std::move(raw.first));
+  ends.push_back(std::move(good.first));
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.log = &log;
+  Coordinator coordinator(spec, config);
+  await_hellos(ends);
+  const CampaignReport report = coordinator.run(std::move(ends));
+  good_thread.join();
+
+  Frame frame;
+  ASSERT_TRUE(read_frame(*raw.second, frame));
+  EXPECT_EQ(frame.type, FrameType::hello_ok);
+  EXPECT_FALSE(read_frame(*raw.second, frame));  // buried: closed
+  EXPECT_EQ(coordinator.stats().workers_joined, 2u);
+  EXPECT_NE(log.str().find("out of handshake order"), std::string::npos);
+  expect_reports_bit_identical(report, Campaign(small_spec()).run(1));
 }
 
 TEST(Fabric, TornFrameBuriesTheWorkerAndItsWorkIsReLeased) {

@@ -52,7 +52,7 @@ TEST(Logging, LoggerFormatsComponent) {
 }
 
 TEST(AccessPointTtl, TimeExceededRepliesWhenEnabled) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.send_ttl_exceeded = true;
   testbed::Testbed testbed(config);
   testbed.phone().set_system_traffic_enabled(false);
@@ -97,7 +97,7 @@ TEST(AccessPointTtl, SilentDropByDefault) {
 }
 
 TEST(FailureInjection, AcuteMonSurvivesPacketLoss) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 30_ms;
   testbed::Testbed testbed(config);
   testbed.server().netem().set_loss(0.2);
@@ -120,7 +120,7 @@ TEST(FailureInjection, AcuteMonSurvivesPacketLoss) {
 }
 
 TEST(FailureInjection, AcuteMonAllProbesLost) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   testbed::Testbed testbed(config);
   testbed.server().netem().set_loss(0.99);
   testbed.settle(800_ms);
@@ -139,7 +139,7 @@ TEST(FailureInjection, AcuteMonAllProbesLost) {
 TEST(FailureInjection, LateResponsesAfterTimeoutAreIgnored) {
   // RTT (200 ms) far above the probe timeout (50 ms): every response
   // arrives late and must be discarded without crashing or double-counting.
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 200_ms;
   testbed::Testbed testbed(config);
   testbed.settle(800_ms);

@@ -288,7 +288,7 @@ TEST(PassiveFig2, SnifferEstimatorEqualsAirStampDnExactly) {
   // Noiseless sniffer: its capture time IS the frame's TX start, the same
   // instant the air stamps record — so the passive estimate must equal the
   // stamp-derived dn bit for bit, probe by probe.
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 20_ms;
   config.sniffer_noise = Duration{};
   testbed::Testbed testbed(config);
@@ -327,7 +327,7 @@ TEST(PassiveFig2, SnifferEstimatorEqualsAirStampDnExactly) {
 }
 
 TEST(PassiveFig2, PerAppMonitorEqualsAppBoundaryStampsExactly) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 20_ms;
   testbed::Testbed testbed(config);
   testbed.settle(500_ms);
@@ -366,7 +366,7 @@ TEST(PassiveFig2, HttpingEmitsOneSamplePerTcpExchange) {
   // httping reuses one connection: the handshake SYN plus each HTTP request
   // is a TSval-carrying exchange, so N probes yield N+1 passive samples —
   // the estimator sees flow traffic, not the tool's probe abstraction.
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 20_ms;
   config.sniffer_noise = Duration{};
   testbed::Testbed testbed(config);
@@ -426,7 +426,7 @@ TEST(PassiveAllocation, SnifferForwardingAddsNoPacketCopies) {
   // observer must not change the per-thread Packet copy count of a full
   // tool run compared with no observer at all.
   const auto copies_of_run = [](bool attach) {
-    testbed::TestbedConfig config;
+    testbed::ScenarioSpec config;
     config.emulated_rtt = 10_ms;
     config.sniffer_noise = Duration{};
     testbed::Testbed testbed(config);

@@ -379,7 +379,7 @@ TEST(Checkpoint, CompactionDedupesAndSortsRecords) {
     std::ofstream out(file.path, std::ios::app);
     out << "ckpt1 11 123 torn-fragmen";
   }
-  compact_checkpoint(file.path, load_checkpoint(file.path));
+  compact_checkpoint(file.path);
 
   std::size_t lines = 0;
   {
@@ -398,31 +398,31 @@ TEST(Checkpoint, CompactionDedupesAndSortsRecords) {
             render_checkpoint_record(sample_checkpoint(9)));
 }
 
-TEST(Checkpoint, StreamingCompactionMatchesMaterializedCompaction) {
-  // Same input (duplicates + torn tail), two compactors: the streaming
-  // one-record-at-a-time overload must produce byte-identical output to
-  // the load-then-compact legacy overload.
-  auto write_messy = [](const std::string& path) {
-    CheckpointWriter writer(path);
+TEST(Checkpoint, StreamingCompactionWritesLastRecordPerShardAscending) {
+  // Duplicates that differ (a later re-run of shard 9 with other counters)
+  // and a torn tail: the compacted file must be exactly the ascending
+  // last-wins lines, byte for byte as render_checkpoint_record writes them.
+  ShardCheckpoint rerun = sample_checkpoint(9);
+  rerun.summary.frames_on_air += 1;
+  TempFile file("ckpt_compact_stream");
+  {
+    CheckpointWriter writer(file.path);
     writer.append(sample_checkpoint(9));
     writer.append(sample_checkpoint(2));
-    writer.append(sample_checkpoint(9));
+    writer.append(rerun);
     writer.append(sample_checkpoint(5));
-    std::ofstream out(path, std::ios::app);
+  }
+  {
+    std::ofstream out(file.path, std::ios::app);
     out << "ckpt1 11 123 torn-fragmen";
-  };
-  TempFile materialized("ckpt_compact_mat");
-  TempFile streaming("ckpt_compact_stream");
-  write_messy(materialized.path);
-  write_messy(streaming.path);
-  compact_checkpoint(materialized.path, load_checkpoint(materialized.path));
-  compact_checkpoint(streaming.path);
-  std::ifstream a(materialized.path), b(streaming.path);
-  std::stringstream a_bytes, b_bytes;
-  a_bytes << a.rdbuf();
-  b_bytes << b.rdbuf();
-  ASSERT_FALSE(a_bytes.str().empty());
-  EXPECT_EQ(a_bytes.str(), b_bytes.str());
+  }
+  compact_checkpoint(file.path);
+  std::ifstream in(file.path);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), render_checkpoint_record(sample_checkpoint(2)) +
+                             render_checkpoint_record(sample_checkpoint(5)) +
+                             render_checkpoint_record(rerun));
 }
 
 TEST(Checkpoint, StreamingCompactionOfMissingFileIsANoop) {

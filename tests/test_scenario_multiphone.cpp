@@ -141,15 +141,11 @@ TEST(MultiPhoneScenario, RejectsDuplicateOrReservedPhoneLabels) {
   EXPECT_THROW(Testbed{empty}, sim::ContractViolation);
 }
 
-TEST(MultiPhoneScenario, Fig2SpecMatchesTestbedConfigDefaults) {
-  const ScenarioSpec spec = ScenarioSpec::fig2();
-  ASSERT_EQ(spec.phones.size(), 1u);
-  EXPECT_EQ(spec.sniffer_count, 3u);
-  Testbed from_spec{spec};
-  Testbed from_config{TestbedConfig{}};
-  EXPECT_EQ(from_spec.phone_count(), from_config.phone_count());
-  EXPECT_EQ(from_spec.sniffer_count(), from_config.sniffer_count());
-  EXPECT_EQ(from_spec.phone().id(), Testbed::kPhoneId);
+TEST(MultiPhoneScenario, DefaultTestbedIsTheFig2Topology) {
+  Testbed testbed{};
+  EXPECT_EQ(testbed.phone_count(), 1u);
+  EXPECT_EQ(testbed.sniffer_count(), 3u);
+  EXPECT_EQ(testbed.phone().id(), Testbed::kPhoneId);
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST(Testbed, AcuteMonOutperformsEveryBaselineTool) {
 }
 
 TEST(Testbed, CrossTrafficSaturatesNearTenMbps) {
-  TestbedConfig config;
+  ScenarioSpec config;
   config.congested_phy = true;
   Testbed testbed(config);
   testbed.settle(500_ms);
@@ -185,7 +185,7 @@ TEST(Testbed, BackgroundTrafficDoesNotPerturbCongestedRuns) {
 
 TEST(Testbed, SnifferDnAgreesWithStampDn) {
   // The sniffer-derived network RTT matches the channel ground truth.
-  TestbedConfig config;
+  ScenarioSpec config;
   config.emulated_rtt = 30_ms;
   Testbed testbed(config);
   testbed.settle(800_ms);

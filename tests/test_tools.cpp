@@ -66,7 +66,7 @@ TEST(IcmpPing, ProbesAreOrderedByIndex) {
 
 TEST(IcmpPing, PeriodicScheduleIgnoresResponses) {
   // Emulated RTT (200 ms) far exceeds the 50 ms interval: probes overlap.
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 200_ms;
   Testbed testbed(config);
   testbed.settle(500_ms);
@@ -81,8 +81,8 @@ TEST(IcmpPing, PeriodicScheduleIgnoresResponses) {
 }
 
 TEST(IcmpPing, ReportsQuantizedValuesOnNexus4Above100ms) {
-  testbed::TestbedConfig config;
-  config.profile = phone::PhoneProfile::nexus4();
+  testbed::ScenarioSpec config;
+  config.phones.front().profile = phone::PhoneProfile::nexus4();
   config.emulated_rtt = 150_ms;
   Testbed testbed(config);
   testbed.settle(500_ms);
@@ -96,7 +96,7 @@ TEST(IcmpPing, ReportsQuantizedValuesOnNexus4Above100ms) {
 }
 
 TEST(IcmpPing, LostProbesAreRecordedAsTimeouts) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   Testbed testbed(config);
   testbed.server().netem().set_loss(0.5);
   testbed.settle(500_ms);
@@ -126,7 +126,7 @@ TEST(HttPing, FirstProbeConnectsThenReuses) {
 }
 
 TEST(JavaPing, ReportsWholeMilliseconds) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 30_ms;
   Testbed testbed(config);
   testbed.settle(500_ms);
@@ -140,7 +140,7 @@ TEST(JavaPing, ReportsWholeMilliseconds) {
 }
 
 TEST(JavaPing, DalvikOverheadExceedsNative) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 30_ms;
   config.seed = 7;
   Testbed testbed(config);
@@ -151,7 +151,7 @@ TEST(JavaPing, DalvikOverheadExceedsNative) {
   java.start();
   testbed.run_until_finished(java);
 
-  testbed::TestbedConfig config2 = config;
+  testbed::ScenarioSpec config2 = config;
   Testbed testbed2(config2);
   testbed2.settle(500_ms);
   HttPing native(testbed2.phone(), tool_config(30, 10_ms));

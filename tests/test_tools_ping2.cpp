@@ -47,7 +47,7 @@ TEST(KernelIcmpResponder, PhoneAnswersServerPings) {
 }
 
 TEST(Ping2, CompletesAllPairs) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 20_ms;
   Testbed testbed(config);
   testbed.settle(800_ms);
@@ -58,7 +58,7 @@ TEST(Ping2, CompletesAllPairs) {
 }
 
 TEST(Ping2, FirstPingPaysWakeSecondDoesNotOnShortPaths) {
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 20_ms;  // well below Tis = 50 ms
   Testbed testbed(config);
   testbed.settle(800_ms);
@@ -74,7 +74,7 @@ TEST(Ping2, FirstPingPaysWakeSecondDoesNotOnShortPaths) {
 TEST(Ping2, LongPathsReSleepBeforeTheSecondPing) {
   // The paper's critique: at 85 ms (> Tis = 50 ms) the bus re-sleeps
   // between the first reply and the second ping's arrival.
-  testbed::TestbedConfig config;
+  testbed::ScenarioSpec config;
   config.emulated_rtt = 85_ms;
   Testbed testbed(config);
   testbed.settle(800_ms);
@@ -86,8 +86,8 @@ TEST(Ping2, LongPathsReSleepBeforeTheSecondPing) {
 TEST(Ping2, PsmBitesOnAggressiveHandsetsEvenAtModerateRtt) {
   // Nexus 4 (Tip ~40 ms): at 60 ms the phone dozes between the pings and
   // the second ping gets PSM-buffered at the AP — tens of ms of inflation.
-  testbed::TestbedConfig config;
-  config.profile = phone::PhoneProfile::nexus4();
+  testbed::ScenarioSpec config;
+  config.phones.front().profile = phone::PhoneProfile::nexus4();
   config.emulated_rtt = 60_ms;
   Testbed testbed(config);
   testbed.settle(800_ms);
