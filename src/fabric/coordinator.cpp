@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <chrono>
 #include <exception>
-#include <set>
+#include <map>
 #include <utility>
 
 #include "fabric/wire.hpp"
@@ -29,12 +29,20 @@ std::uint64_t now_ms() {
 
 }  // namespace
 
-/// One connected worker: its transport, handshake progress and the leases
-/// it currently holds.
+/// One connected worker: its transport and frame reader, handshake
+/// progress and the leases it holds.
 struct Coordinator::Conn {
+  explicit Conn(std::unique_ptr<Transport> endpoint)
+      : transport(std::move(endpoint)), reader(*transport) {}
+
   std::unique_ptr<Transport> transport;
+  FrameReader reader;
   enum class State { handshaking, active, parked } state = State::handshaking;
-  std::set<std::uint64_t> leases;
+  /// Every lease granted to this worker that it has not yet closed with
+  /// lease_done, by id, with its range. An expired lease stays here: the
+  /// stalled worker still runs it, and its late frames for it are not a
+  /// protocol violation. A frame naming any other lease is.
+  std::map<std::uint64_t, Lease> leases;
   std::size_t id = 0;  // stable worker number, for the log
   bool dead = false;
 };
@@ -76,8 +84,7 @@ testbed::CampaignReport Coordinator::run(
   std::vector<std::unique_ptr<Conn>> conns;
   std::size_t next_worker_id = 0;
   for (std::unique_ptr<Transport>& transport : workers) {
-    auto conn = std::make_unique<Conn>();
-    conn->transport = std::move(transport);
+    auto conn = std::make_unique<Conn>(std::move(transport));
     conn->id = next_worker_id++;
     conns.push_back(std::move(conn));
   }
@@ -107,7 +114,7 @@ testbed::CampaignReport Coordinator::run(
           std::to_string(lease->end) + ")");
       throw;
     }
-    conn.leases.insert(lease->id);
+    conn.leases.emplace(lease->id, *lease);
     conn.state = Conn::State::active;
     ++stats_.leases_granted;
   };
@@ -115,7 +122,7 @@ testbed::CampaignReport Coordinator::run(
   auto bury = [&](Conn& conn, const char* cause) {
     conn.dead = true;
     std::size_t returned = 0;
-    for (const std::uint64_t id : conn.leases) {
+    for (const auto& [id, lease] : conn.leases) {
       const std::size_t before = table.pending_count();
       table.revoke(id);
       returned += table.pending_count() - before;
@@ -131,14 +138,20 @@ testbed::CampaignReport Coordinator::run(
              : ""));
   };
 
-  // Handles exactly one frame from `conn`; throws on torn frames and
-  // protocol violations (the caller buries the worker).
-  auto handle_frame = [&](Conn& conn) {
-    Frame frame;
-    if (!read_frame(*conn.transport, frame)) {
-      bury(conn, "closed its connection");
-      return;
-    }
+  // The lease `lease_id` as `conn` holds it; a protocol violation when it
+  // was never granted to `conn` or is already closed — a peer must not
+  // extend, finish or complete another worker's lease.
+  auto held_lease = [](Conn& conn, std::uint64_t lease_id) {
+    const auto it = conn.leases.find(lease_id);
+    expects(it != conn.leases.end(),
+            "fabric coordinator: frame names a lease the worker does not "
+            "hold");
+    return it;
+  };
+
+  // Handles one frame from `conn`; throws on protocol violations (the
+  // caller buries the worker).
+  auto handle_frame = [&](Conn& conn, const FrameView& frame) {
     // hello comes first and only once: a peer that has not proven it holds
     // this campaign must not get records folded or leases returned.
     expects((frame.type == FrameType::hello) ==
@@ -174,22 +187,29 @@ testbed::CampaignReport Coordinator::run(
         try_grant(conn);
         break;
       case FrameType::heartbeat:
-        // False (unknown lease) means the lease already expired and was
-        // re-leased; the stalled worker's completions arrive as harmless
-        // duplicates, so nothing to do here.
-        (void)table.heartbeat(decode_lease_id(frame.payload), now_ms());
+        // False (unknown to the table) means the lease already expired and
+        // was re-leased; the stalled worker's completions arrive as
+        // harmless duplicates, so nothing to do here.
+        (void)table.heartbeat(
+            held_lease(conn, decode_lease_id(frame.payload))->first,
+            now_ms());
         break;
       case FrameType::shard_done: {
-        const ShardDoneBody done = decode_shard_done(frame.payload);
+        const auto [lease_id, line] = split_shard_done(frame.payload);
+        const Lease& lease = held_lease(conn, lease_id)->second;
         report::ShardCheckpoint record;
-        expects(report::parse_checkpoint_record(done.record_line, record),
+        expects(report::parse_checkpoint_record(line, record),
                 "fabric coordinator: shard_done carried a torn record");
         campaign_.check_record(record);
         const std::size_t index = record.summary.info.scenario_index;
+        expects(index >= lease.begin && index < lease.end,
+                "fabric coordinator: shard_done outside its lease's range");
         // Checkpoint first (matching the single-process sink order:
         // durable before merged), every arrival — compaction's last-wins
         // rule collapses duplicates exactly as it does for a re-run shard.
-        if (checkpoint != nullptr) checkpoint->append(record);
+        // The line goes to disk as the worker rendered it: it just parsed,
+        // and the handshake pinned the worker's renderer (docs/fabric.md).
+        if (checkpoint != nullptr) checkpoint->append_line(line);
         if (table.complete(index)) {
           frontier.submit(index, std::move(record));
           ++stats_.shards_merged;
@@ -203,24 +223,39 @@ testbed::CampaignReport Coordinator::run(
         }
         break;
       }
-      case FrameType::lease_done:
-        table.finish(decode_lease_id(frame.payload));
-        conn.leases.erase(decode_lease_id(frame.payload));
+      case FrameType::lease_done: {
+        const auto held = held_lease(conn, decode_lease_id(frame.payload));
+        table.finish(held->first);
+        conn.leases.erase(held);
         break;
+      }
       default:
         expects(false, "fabric coordinator: unexpected frame from worker");
     }
   };
 
+  // One recv from `conn`, then every complete frame it buffered; throws on
+  // torn frames and protocol violations (the caller buries the worker).
+  auto serve = [&](Conn& conn) {
+    if (!conn.reader.fill()) {
+      bury(conn, "closed its connection");
+      return;
+    }
+    FrameView frame;
+    while (!conn.dead && !table.all_complete() && conn.reader.next(frame)) {
+      handle_frame(conn, frame);
+    }
+  };
+
   while (!table.all_complete()) {
     // Expired leases (stalled or slow workers) go back to pending with
-    // backoff; their holders keep running — late results dedupe.
+    // backoff; their holders keep running — late results dedupe, and the
+    // holder's Conn keeps the lease until its lease_done.
     for (const Lease& lease : table.expire(now_ms())) {
       ++stats_.leases_expired;
       log("lease " + std::to_string(lease.id) + " [" +
           std::to_string(lease.begin) + ", " + std::to_string(lease.end) +
           ") expired without heartbeat; re-leasing");
-      for (std::unique_ptr<Conn>& conn : conns) conn->leases.erase(lease.id);
     }
 
     // Push re-queued work to parked workers instead of waiting for them to
@@ -269,8 +304,7 @@ testbed::CampaignReport Coordinator::run(
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       if (fd_conns[i] == nullptr) {
-        auto conn = std::make_unique<Conn>();
-        conn->transport = listener->accept();
+        auto conn = std::make_unique<Conn>(listener->accept());
         conn->id = next_worker_id++;
         conns.push_back(std::move(conn));
         continue;
@@ -278,7 +312,7 @@ testbed::CampaignReport Coordinator::run(
       Conn& conn = *fd_conns[i];
       if (conn.dead) continue;
       try {
-        handle_frame(conn);
+        serve(conn);
       } catch (const sim::ContractViolation& violation) {
         // Torn frame / malformed record: that worker is compromised, the
         // campaign is not. Loud, buried, work re-leased.

@@ -5,12 +5,14 @@
 // proves it holds the same campaign (hello: protocol, spec_hash, seed,
 // shard count — any mismatch is rejected loudly), then pulls leases of
 // contiguous scenario-index ranges. Completed shards stream back as ckpt2
-// record lines; the coordinator validates each with Campaign::check_record
-// (index range, Rng(S).fork(i) seed, CampaignSpec::shard_hash), appends it
-// to its own checkpoint file, and folds the first completion per index
-// through testbed::MergeFrontier in ascending scenario order — so the
-// merged digests are bit-identical to a single-process Campaign::run for
-// any worker count, lease batch size and kill/re-lease schedule. Resume is
+// record lines; the coordinator parses each once, validates it with
+// Campaign::check_record (index range, Rng(S).fork(i) seed,
+// CampaignSpec::shard_hash) and against the sender's lease, appends the
+// line verbatim to its own checkpoint file, and folds the first completion
+// per index through testbed::MergeFrontier in ascending scenario order —
+// so the merged digests are bit-identical to a single-process
+// Campaign::run for any worker count, lease batch size and kill/re-lease
+// schedule. Resume is
 // not the coordinator's own code: it starts from testbed::plan_resume, the
 // routine Campaign::run starts from, and leases the plan's pending shards.
 //
@@ -26,6 +28,9 @@
 //   hash mismatch at hello           → reject frame + close, never leased
 //   frame before hello / 2nd hello   → protocol violation: buried like a
 //                                      torn frame, nothing folded
+//   frame naming a lease the peer    → protocol violation: buried; a peer
+//   does not hold, shard_done out of   can neither extend nor close another
+//   its lease's range                  worker's lease, nor append for it
 //   coordinator death                → its checkpoint file holds every
 //                                      completed shard; the next run
 //                                      restores, compacts and leases only

@@ -1,5 +1,6 @@
 #include "fabric/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "sim/contracts.hpp"
@@ -43,8 +44,6 @@ struct Cursor {
     return value;
   }
 
-  std::string rest() { return std::string(bytes); }
-
   void done() const {
     expects(bytes.empty(), "fabric wire: trailing bytes in frame payload");
   }
@@ -80,27 +79,73 @@ void write_frame(Transport& transport, FrameType type,
   transport.send_all(frame.data(), frame.size());
 }
 
-bool read_frame(Transport& transport, Frame& out) {
-  unsigned char header[4];
-  if (!recv_exact(transport, header, sizeof header)) return false;
+std::size_t frame_size(std::string_view prefix) {
+  if (prefix.size() < 4) return 0;
   std::uint32_t length = 0;
   for (int byte = 0; byte < 4; ++byte) {
-    length |= static_cast<std::uint32_t>(header[byte]) << (8 * byte);
+    const auto value = static_cast<unsigned char>(prefix[byte]);
+    length |= static_cast<std::uint32_t>(value) << (8 * byte);
   }
   expects(length >= 1 && length <= kMaxFrameBytes,
           "fabric wire: torn frame (implausible length)");
-  unsigned char type = 0;
-  expects(recv_exact(transport, &type, 1),
-          "fabric wire: torn frame (peer died mid-frame)");
+  if (prefix.size() < kFrameHeaderBytes) return 0;
+  const auto type = static_cast<unsigned char>(prefix[4]);
   expects(type >= static_cast<unsigned char>(FrameType::hello) &&
               type <= static_cast<unsigned char>(FrameType::shutdown),
           "fabric wire: torn frame (unknown frame type)");
-  out.type = static_cast<FrameType>(type);
-  out.payload.resize(length - 1);
+  return 4 + std::size_t{length};
+}
+
+bool read_frame(Transport& transport, Frame& out) {
+  char header[kFrameHeaderBytes];
+  if (!recv_exact(transport, header, 4)) return false;
+  (void)frame_size(std::string_view(header, 4));  // length before type
+  expects(recv_exact(transport, header + 4, 1),
+          "fabric wire: torn frame (peer died mid-frame)");
+  const std::size_t size = frame_size(std::string_view(header, sizeof header));
+  out.type = static_cast<FrameType>(static_cast<unsigned char>(header[4]));
+  out.payload.resize(size - kFrameHeaderBytes);
   if (!out.payload.empty()) {
     expects(recv_exact(transport, out.payload.data(), out.payload.size()),
             "fabric wire: torn frame (peer died mid-frame)");
   }
+  return true;
+}
+
+bool FrameReader::next(FrameView& out) {
+  const std::string_view buffered(buffer_.data() + begin_, end_ - begin_);
+  const std::size_t size = frame_size(buffered);
+  if (size == 0 || buffered.size() < size) return false;
+  out.type =
+      static_cast<FrameType>(static_cast<unsigned char>(buffered[4]));
+  out.payload = buffered.substr(kFrameHeaderBytes, size - kFrameHeaderBytes);
+  begin_ += size;
+  return true;
+}
+
+bool FrameReader::fill() {
+  // A read takes up to this much; a ckpt2 record is one to a few KiB, so
+  // one recv usually drains every frame a worker has queued.
+  constexpr std::size_t kReadBytes = 16u << 10;
+  // Slide the partial frame (if any) to the front, then make room for all
+  // of it: frame_size() has validated its header before it sizes anything.
+  const std::size_t held = end_ - begin_;
+  if (begin_ > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + begin_, held);
+    begin_ = 0;
+    end_ = held;
+  }
+  const std::size_t frame = frame_size(std::string_view(buffer_.data(), held));
+  if (buffer_.size() < std::max(kReadBytes, frame)) {
+    buffer_.resize(std::max(kReadBytes, frame));
+  }
+  const std::size_t got =
+      transport_.recv_some(buffer_.data() + end_, buffer_.size() - end_);
+  if (got == 0) {
+    expects(held == 0, "fabric wire: torn frame (peer died mid-frame)");
+    return false;
+  }
+  end_ += got;
   return true;
 }
 
@@ -151,11 +196,15 @@ std::string encode_shard_done(const ShardDoneBody& body) {
 }
 
 ShardDoneBody decode_shard_done(std::string_view payload) {
+  const auto [lease_id, record_line] = split_shard_done(payload);
+  return ShardDoneBody{lease_id, std::string(record_line)};
+}
+
+std::pair<std::uint64_t, std::string_view> split_shard_done(
+    std::string_view payload) {
   Cursor cursor{payload};
-  ShardDoneBody body;
-  body.lease_id = cursor.u64();
-  body.record_line = cursor.rest();
-  return body;
+  const std::uint64_t lease_id = cursor.u64();
+  return {lease_id, cursor.bytes};
 }
 
 std::string encode_lease_id(std::uint64_t lease_id) {

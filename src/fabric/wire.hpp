@@ -11,13 +11,18 @@
 // worker's death or a graceful shutdown looks to the peer), while
 // end-of-stream *inside* a frame, a zero/oversize length or an unknown type
 // is a torn frame — a loud sim::ContractViolation, never a silent skip.
+// Both readers — read_frame (exact reads, the worker's side) and
+// FrameReader (bulk reads, the coordinator's side) — validate headers
+// through one decoder, frame_size().
 //
 // The shard payload is deliberately the checkpoint format itself: a
 // shard_done frame carries the exact ckpt2 line render_checkpoint_record()
 // produces (report::parse_checkpoint_record decodes it). One serialization
 // for disk and wire means the coordinator's checkpoint, a worker's streamed
 // result and a single-process campaign's record are bit-identical by
-// construction — the round-trip test only has to pin it once.
+// construction — the round-trip test only has to pin it once. The
+// coordinator appends the received line verbatim; docs/fabric.md
+// ("Canonical bytes") says why that keeps the checkpoint bytes canonical.
 //
 // Conversation (worker drives; coordinator replies or pushes):
 //   worker → hello{protocol, spec_hash, seed, shard_count}
@@ -35,6 +40,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "fabric/transport.hpp"
 
@@ -72,8 +78,52 @@ void write_frame(Transport& transport, FrameType type,
 
 /// Reads one frame into `out`. False on clean end-of-stream at a frame
 /// boundary; contract violation on a torn frame (EOF mid-frame, bad length,
-/// unknown type).
+/// unknown type). Reads exactly the frame's bytes, never past it.
 [[nodiscard]] bool read_frame(Transport& transport, Frame& out);
+
+/// u32 length + u8 type.
+inline constexpr std::size_t kFrameHeaderBytes = 5;
+
+/// The one frame-header decoder. `prefix` is the start of a frame, however
+/// much of it has arrived: the length is checked as soon as its 4 bytes are
+/// there, the type as soon as its byte is. Returns the whole frame's size
+/// (header included) once the header is complete, 0 before. Contract
+/// violation on a zero or oversize length or an unknown type, so a reader
+/// learns a frame is garbage before it sizes a buffer for it.
+[[nodiscard]] std::size_t frame_size(std::string_view prefix);
+
+/// A frame read in place: `payload` points into the FrameReader's buffer
+/// and is valid until the reader's next fill().
+struct FrameView {
+  FrameType type = FrameType::hello;
+  std::string_view payload;
+};
+
+/// Buffered frame reader over one transport, for a peer that multiplexes
+/// many connections: fill() is one recv_some that takes whatever the
+/// socket holds, and next() then hands out every complete frame in the
+/// buffer without further I/O. Same EOF and torn-frame rules as
+/// read_frame.
+class FrameReader {
+ public:
+  explicit FrameReader(Transport& transport) : transport_(transport) {}
+
+  /// Pops the next complete buffered frame; false when the buffer holds
+  /// none (call fill()). Contract violation on a bad header.
+  [[nodiscard]] bool next(FrameView& out);
+
+  /// One recv_some into the buffer, growing it first when the frame being
+  /// assembled (its header already validated) cannot fit; call it once
+  /// next() returns false. False on end-of-stream at a frame boundary;
+  /// contract violation on end-of-stream mid-frame.
+  [[nodiscard]] bool fill();
+
+ private:
+  Transport& transport_;
+  std::string buffer_;
+  std::size_t begin_ = 0;  // first unconsumed byte
+  std::size_t end_ = 0;    // one past the last received byte
+};
 
 /// hello payload: everything the coordinator checks before leasing work.
 /// spec_hash is CampaignSpec::spec_hash() (shape-only); the seed rides
@@ -105,6 +155,10 @@ struct ShardDoneBody {
 [[nodiscard]] LeaseGrantBody decode_lease_grant(std::string_view payload);
 [[nodiscard]] std::string encode_shard_done(const ShardDoneBody& body);
 [[nodiscard]] ShardDoneBody decode_shard_done(std::string_view payload);
+/// decode_shard_done without the copy: the lease id and a view of the
+/// record line inside `payload`.
+[[nodiscard]] std::pair<std::uint64_t, std::string_view> split_shard_done(
+    std::string_view payload);
 /// heartbeat / lease_done payloads: just the lease id.
 [[nodiscard]] std::string encode_lease_id(std::uint64_t lease_id);
 [[nodiscard]] std::uint64_t decode_lease_id(std::string_view payload);

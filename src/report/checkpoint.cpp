@@ -3,10 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -21,6 +23,12 @@ void CheckpointWriter::append(const ShardCheckpoint& checkpoint) {
   // Render the whole record first so the locked append is one write: a
   // kill can tear at most the record's own line, never interleave shards.
   writer_.append_block(render_checkpoint_record(checkpoint));
+}
+
+void CheckpointWriter::append_line(std::string_view line) {
+  expects(!line.empty() && line.find('\n') == line.size() - 1,
+          "checkpoint: a record line must end in its only newline");
+  writer_.append_block(line);
 }
 
 std::string render_checkpoint_record(const ShardCheckpoint& checkpoint) {
@@ -68,7 +76,7 @@ namespace {
 /// True when the line's last whitespace-separated token is the "end"
 /// sentinel — the writer finished this record, so it is complete, whatever
 /// else is wrong with it.
-bool has_end_sentinel(const std::string& line) {
+bool has_end_sentinel(std::string_view line) {
   const auto last = line.find_last_not_of(" \t\r\n");
   if (last == std::string::npos || line[last] != 'd') return false;
   if (last < 2 || line[last - 1] != 'n' || line[last - 2] != 'e') return false;
@@ -76,8 +84,14 @@ bool has_end_sentinel(const std::string& line) {
 }
 
 /// Parses one complete-record body; returns false on any malformation.
-bool parse_record_body(const std::string& line, ShardCheckpoint& out) {
-  std::istringstream in(line);
+bool parse_record_body(std::string_view line, ShardCheckpoint& out) {
+  // One record per line: a '\n' anywhere but last would let one payload
+  // smuggle a second, unchecked record onto disk.
+  if (const auto newline = line.find('\n');
+      newline != std::string_view::npos && newline + 1 != line.size()) {
+    return false;
+  }
+  std::istringstream in{std::string(line)};
   std::string magic;
   in >> magic;
   if (magic != "ckpt2") return false;
@@ -123,7 +137,10 @@ bool parse_record_body(const std::string& line, ShardCheckpoint& out) {
     }
     std::string sentinel;
     in >> sentinel;
-    return sentinel == "end";
+    if (sentinel != "end") return false;
+    // Nothing follows the sentinel but the optional final '\n'.
+    const int next = in.get();
+    return next == std::istringstream::traits_type::eof() || next == '\n';
   } catch (const sim::ContractViolation&) {
     return false;  // torn digest blob: treat the record as truncated
   }
@@ -161,21 +178,41 @@ void durable_replace(const std::string& temp, const std::string& path) {
   }
 }
 
+constexpr const char* kUnknownComplete =
+    "checkpoint: complete record of an unknown kind or version (expected "
+    "ckpt2), or with bytes after its end sentinel — refusing to silently "
+    "skip it; delete or migrate the checkpoint file";
+
+/// Compaction's key: the scenario index of a complete line, read from its
+/// "ckpt2 <index> " prefix alone; nullopt for a torn line (no sentinel).
+/// A complete line without that prefix is an unknown kind: loud.
+std::optional<std::size_t> complete_record_index(std::string_view line) {
+  if (!has_end_sentinel(line)) return std::nullopt;
+  constexpr std::string_view kMagic = "ckpt2 ";
+  std::size_t index = 0;
+  bool keyed = line.substr(0, kMagic.size()) == kMagic;
+  if (keyed) {
+    const char* last = line.data() + line.size();
+    const auto [end, error] =
+        std::from_chars(line.data() + kMagic.size(), last, index);
+    keyed = error == std::errc{} && end != last && *end == ' ';
+  }
+  expects(keyed, kUnknownComplete);
+  return index;
+}
+
 }  // namespace
 
-bool parse_checkpoint_record(const std::string& line, ShardCheckpoint& out) {
+bool parse_checkpoint_record(std::string_view line, ShardCheckpoint& out) {
   if (parse_record_body(line, out)) return true;
-  expects(!has_end_sentinel(line),
-          "checkpoint: complete record of an unknown kind or version "
-          "(expected ckpt2) — refusing to silently skip it; delete or "
-          "migrate the checkpoint file");
+  expects(!has_end_sentinel(line), kUnknownComplete);
   return false;
 }
 
 void compact_checkpoint(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return;  // nothing to compact
-  // Pass 1: byte offset of each scenario's winning record.
+  // Pass 1: byte range of each scenario's winning line.
   //
   // The one duplicate-shard rule of the results pipeline: LAST claim wins.
   // A checkpoint appended across kill/resume ticks, or by a fabric
@@ -188,34 +225,42 @@ void compact_checkpoint(const std::string& path) {
   // an arbitrary-but-fixed tiebreak, not a data decision. Resume (and so
   // the fabric coordinator's resume) reads restored shards back from this
   // function's output, so it inherits the rule rather than re-deriving it.
-  std::map<std::size_t, std::streamoff> latest;
+  struct Range {
+    std::streamoff pos = 0;
+    std::size_t size = 0;  // without the '\n'
+  };
+  std::map<std::size_t, Range> latest;
   {
-    ShardCheckpoint record;
     std::string line;
-    for (std::streamoff pos = in.tellg(); std::getline(in, line);
-         pos = in.tellg()) {
-      if (parse_checkpoint_record(line, record)) {
-        latest.insert_or_assign(record.summary.info.scenario_index, pos);
+    for (std::streamoff pos = 0; std::getline(in, line);
+         pos += static_cast<std::streamoff>(line.size()) + 1) {
+      if (const auto index = complete_record_index(line)) {
+        latest.insert_or_assign(*index, Range{pos, line.size()});
       }
     }
-    in.clear();  // getline hit EOF; clear so the pass-2 seeks work
   }
+  // Pass 2: copy each winner verbatim, seeking only when the next winner
+  // does not start where the last one ended.
   const std::string temp = path + ".compact";
   {
-    std::ofstream out(temp, std::ios::trunc);
+    std::ofstream out(temp, std::ios::trunc | std::ios::binary);
     expects(out.is_open(), "compact_checkpoint: cannot open temp file");
-    ShardCheckpoint record;
     std::string line;
-    for (const auto& [index, pos] : latest) {
-      in.seekg(pos);
-      expects(std::getline(in, line).good() || in.eof(),
-              "compact_checkpoint: checkpoint shrank during compaction");
-      expects(parse_checkpoint_record(line, record),
-              "compact_checkpoint: record vanished during compaction");
-      expects(record.summary.info.scenario_index == index,
-              "compact_checkpoint: record moved during compaction");
-      out << render_checkpoint_record(record);
+    std::streamoff at = -1;  // where `in` stands, when known
+    for (const auto& [index, range] : latest) {
       in.clear();
+      if (range.pos != at) in.seekg(range.pos);
+      line.resize(range.size);
+      in.read(line.data(), static_cast<std::streamsize>(range.size));
+      expects(static_cast<std::size_t>(in.gcount()) == range.size &&
+                  complete_record_index(line) == index,
+              "compact_checkpoint: checkpoint changed during compaction");
+      out.write(line.data(), static_cast<std::streamsize>(range.size));
+      out.put('\n');
+      // Step over the line's '\n' (absent only after a final line cut
+      // right at its sentinel).
+      in.ignore(1);
+      at = range.pos + static_cast<std::streamoff>(range.size) + 1;
     }
     out.flush();
     expects(out.good(), "compact_checkpoint: short write to temp file");

@@ -33,6 +33,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "report/digest_sink.hpp"
@@ -66,6 +67,12 @@ class CheckpointWriter {
 
   /// Appends one record atomically and flushes.
   void append(const ShardCheckpoint& checkpoint);
+
+  /// Appends one already-rendered record line verbatim — the fabric
+  /// coordinator's path for a line a worker rendered and the coordinator
+  /// has parsed and checked. Contract violation unless `line` ends in its
+  /// one '\n' (a glued-on next record would tear both).
+  void append_line(std::string_view line);
 
   [[nodiscard]] const std::string& path() const { return writer_.path(); }
 
@@ -114,28 +121,36 @@ void for_each_checkpoint(const std::string& path,
 [[nodiscard]] std::string render_checkpoint_record(
     const ShardCheckpoint& checkpoint);
 
-/// Parses one record line (render_checkpoint_record's inverse, trailing
-/// newline optional); returns false on a torn write (no "end" sentinel —
-/// the writer died mid-append, the shard simply reruns). A line the writer
-/// *finished* that still fails to parse — an unknown record kind or
-/// version, a foreign tool/vantage name — is a loud contract violation:
-/// silently skipping it would re-run and double-merge a shard the file
-/// already accounts for. The fabric wire protocol ships ckpt2 lines
-/// verbatim, so this is also the frame-payload decoder.
-[[nodiscard]] bool parse_checkpoint_record(const std::string& line,
+/// Parses one record line (render_checkpoint_record's inverse); returns
+/// false on a torn write (no "end" sentinel — the writer died mid-append,
+/// the shard simply reruns). Nothing may follow the sentinel but one
+/// optional '\n', and no '\n' may come before it: a line is exactly one
+/// record. A line the writer *finished* that still fails to parse — an
+/// unknown record kind or version, a foreign tool/vantage name, bytes after
+/// the sentinel — is a loud contract violation: silently skipping it would
+/// re-run and double-merge a shard the file already accounts for. The
+/// fabric wire protocol ships ckpt2 lines verbatim, so this is also the
+/// frame-payload decoder.
+[[nodiscard]] bool parse_checkpoint_record(std::string_view line,
                                            ShardCheckpoint& out);
 
 /// Rewrites `path` to one record per shard, in ascending scenario order;
 /// among records of the same scenario index the last one in the file wins
-/// (see the rule in checkpoint.cpp). Streams: pass 1 records the byte
-/// offset of each scenario's winner (O(shards) offsets, not digests); pass 2
-/// seeks to each winner in ascending order and re-renders it into a temp
-/// file. The rewrite is crash-safe: the temp file is flushed and fsync'd
-/// before being renamed over `path` (with a best-effort directory fsync
-/// after), so a power cut mid-compaction leaves either the old complete
-/// file or the new complete file, never a truncated hybrid. A missing file
-/// is a no-op. Call before opening an append-mode CheckpointWriter on the
-/// same path.
+/// (see the rule in checkpoint.cpp). Byte-level and streaming: pass 1 keys
+/// each complete line (one ending in the "end" sentinel) by its
+/// "ckpt2 <index>" prefix and keeps the byte range of each scenario's
+/// winner (O(shards) ranges, not digests); pass 2 copies the winning lines
+/// verbatim, in ascending order, into a temp file. Torn lines are dropped;
+/// a complete line of an unknown kind (no "ckpt2 <index> " prefix, e.g. a
+/// ckpt1 record) is a contract violation. Compaction does NOT validate a
+/// record's body: every caller's records were already fully checked — by
+/// plan_resume's for_each_checkpoint + Campaign::check_record pass before
+/// it compacts, or at wire receive in the fabric coordinator. The rewrite
+/// is crash-safe: the temp file is flushed and fsync'd before being renamed
+/// over `path` (with a best-effort directory fsync after), so a power cut
+/// mid-compaction leaves either the old complete file or the new complete
+/// file, never a truncated hybrid. A missing file is a no-op. Call before
+/// opening an append-mode CheckpointWriter on the same path.
 void compact_checkpoint(const std::string& path);
 
 }  // namespace acute::report

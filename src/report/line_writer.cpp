@@ -42,7 +42,7 @@ LineWriter::LineWriter(std::string path, bool append)
 
 LineWriter::~LineWriter() = default;
 
-void LineWriter::append_block(const std::string& block) {
+void LineWriter::append_block(std::string_view block) {
   const std::lock_guard<std::mutex> lock(mutex_);
   impl_->out << block;
   impl_->out.flush();

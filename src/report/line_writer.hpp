@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace acute::report {
 
@@ -26,7 +27,7 @@ class LineWriter {
 
   /// Appends `block` (complete '\n'-terminated lines) atomically and
   /// flushes.
-  void append_block(const std::string& block);
+  void append_block(std::string_view block);
 
   [[nodiscard]] const std::string& path() const { return path_; }
 

@@ -194,6 +194,46 @@ TEST(CampaignResume, EditedSpecIsAContractViolation) {
   EXPECT_THROW((void)Campaign(reshaped).run(1), sim::ContractViolation);
 }
 
+TEST(CampaignResume, CorruptCompleteRecordFailsTheResumeLoudly) {
+  // Compaction keys lines by their "ckpt2 <index>" prefix and copies them
+  // without parsing, so the refusal of a sentinel-complete but corrupt
+  // record lives in the resume's validation pass, which runs first. Pin it
+  // for a body that no longer parses and for one that parses but carries
+  // another shard's seed.
+  const auto corrupt = [](const std::string& name, const auto& edit) {
+    SCOPED_TRACE(name);
+    TempFile checkpoint("corrupt_" + name);
+    CampaignSpec spec = resume_campaign();
+    spec.checkpoint_path = checkpoint.path;
+    spec.max_shards = 3;
+    (void)Campaign(spec).run(1);
+    std::string bytes;
+    {
+      std::ifstream in(checkpoint.path);
+      std::stringstream buffer;
+      buffer << in.rdbuf();
+      bytes = buffer.str();
+    }
+    const std::size_t second = bytes.find('\n') + 1;  // record 2 of 3
+    edit(bytes, second);
+    {
+      std::ofstream out(checkpoint.path, std::ios::trunc);
+      out << bytes;
+    }
+    spec.max_shards = 0;
+    EXPECT_THROW((void)Campaign(spec).run(1), sim::ContractViolation);
+  };
+  corrupt("digest_tag", [](std::string& bytes, std::size_t line) {
+    bytes.replace(bytes.find(" dgst ", line), 6, " dgsx ");
+  });
+  corrupt("seed", [](std::string& bytes, std::size_t line) {
+    // "ckpt2 <index> <seed> ...": bump the seed's last digit.
+    const std::size_t seed_end = bytes.find(' ', bytes.find(' ', line + 6) + 1);
+    char& digit = bytes[seed_end - 1];
+    digit = digit == '9' ? '0' : static_cast<char>(digit + 1);
+  });
+}
+
 TEST(CampaignResume, TornCheckpointLineRerunsOnlyThatShard) {
   // A real kill can tear the checkpoint's last line mid-write. The torn
   // shard must simply rerun — and the resumed merge must still be

@@ -6,8 +6,11 @@
 // mid-lease (WorkerConfig::max_shards closes the transport exactly like
 // SIGKILL), a torn wire frame, a stalled lease expiring past its heartbeat
 // deadline, duplicate completions from the re-lease race, a mismatched
-// worker rejected at the hello handshake, and peers that send frames out of
-// handshake order.
+// worker rejected at the hello handshake, peers that send frames out of
+// handshake order or name leases they do not hold, and shard_done payloads
+// that are not exactly one record of the sender's lease. The coordinator's
+// buffered FrameReader is driven through a scripted transport with chosen
+// recv chunk sizes.
 #include <gtest/gtest.h>
 #include <poll.h>
 
@@ -193,6 +196,78 @@ FabricRun run_fabric(const CampaignSpec& spec,
   CampaignReport report = coordinator.run(std::move(coordinator_ends));
   for (std::thread& thread : threads) thread.join();
   return FabricRun{std::move(report), coordinator.stats()};
+}
+
+/// A hand-driven peer's handshake: hello for `spec`, expect hello_ok.
+void say_hello(Transport& wire, const CampaignSpec& spec) {
+  HelloBody hello;
+  hello.spec_hash = spec.spec_hash();
+  hello.seed = spec.seed;
+  hello.shard_count = Campaign(spec).scenario_count();
+  write_frame(wire, FrameType::hello, encode_hello(hello));
+  Frame frame;
+  ASSERT_TRUE(read_frame(wire, frame));
+  ASSERT_EQ(frame.type, FrameType::hello_ok);
+}
+
+/// A hand-driven peer's lease_request; the grant it gets back.
+LeaseGrantBody take_lease(Transport& wire) {
+  write_frame(wire, FrameType::lease_request);
+  Frame frame;
+  EXPECT_TRUE(read_frame(wire, frame));
+  EXPECT_EQ(frame.type, FrameType::lease_grant);
+  return decode_lease_grant(frame.payload);
+}
+
+/// The ckpt2 line a real worker ships for shard `index`.
+std::string record_line(const Campaign& campaign, std::size_t index) {
+  testbed::ShardContext context;
+  return report::render_checkpoint_record(
+      campaign.run_shard_record(index, context));
+}
+
+/// A scripted peer for FrameReader: everything sent to it becomes its
+/// inbox, which recv_some hands back at most `chunk` bytes at a time and
+/// then reports end-of-stream. Records how many reads it served and the
+/// largest read it was asked for — how far the reader's buffer grew.
+class ScriptedTransport final : public Transport {
+ public:
+  explicit ScriptedTransport(std::size_t chunk) : chunk_(chunk) {}
+
+  void send_all(const void* data, std::size_t size) override {
+    inbox_.append(static_cast<const char*>(data), size);
+  }
+  std::size_t recv_some(void* data, std::size_t size) override {
+    ++recvs;
+    largest_request = std::max(largest_request, size);
+    const std::size_t count = std::min({size, chunk_, inbox_.size() - at_});
+    std::copy_n(inbox_.data() + at_, count, static_cast<char*>(data));
+    at_ += count;
+    return count;
+  }
+  [[nodiscard]] int fd() const override { return -1; }
+
+  std::size_t recvs = 0;
+  std::size_t largest_request = 0;
+
+ private:
+  std::size_t chunk_;
+  std::string inbox_;
+  std::size_t at_ = 0;
+};
+
+using FrameList = std::vector<std::pair<FrameType, std::string>>;
+
+/// Drains `reader` to end-of-stream, copying out every frame.
+FrameList read_all(FrameReader& reader) {
+  FrameList frames;
+  FrameView frame;
+  while (reader.fill()) {
+    while (reader.next(frame)) {
+      frames.emplace_back(frame.type, std::string(frame.payload));
+    }
+  }
+  return frames;
 }
 
 // ---------------------------------------------------------------- LeaseTable
@@ -415,6 +490,106 @@ TEST(Wire, TornFramesThrowLoudly) {
   }
 }
 
+TEST(FrameReader, DeliversEveryFrameWhateverTheRecvChunking) {
+  // A shard_done big enough to straddle any small chunk, between frames
+  // with empty and short payloads.
+  const FrameList frames = {
+      {FrameType::hello, encode_hello(HelloBody{})},
+      {FrameType::lease_request, ""},
+      {FrameType::heartbeat, encode_lease_id(7)},
+      {FrameType::shard_done,
+       encode_shard_done(ShardDoneBody{7, std::string(3000, 'x') + "\n"})},
+      {FrameType::lease_done, encode_lease_id(7)},
+  };
+  std::size_t total = 0;
+  for (const auto& [type, payload] : frames) {
+    total += kFrameHeaderBytes + payload.size();
+  }
+  // 1-byte reads, reads that cut headers and payloads at odd offsets, and
+  // one read that takes everything.
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{7}, std::size_t{4096},
+                                  total}) {
+    ScriptedTransport wire(chunk);
+    for (const auto& [type, payload] : frames) {
+      write_frame(wire, type, payload);
+    }
+    FrameReader reader(wire);
+    EXPECT_EQ(read_all(reader), frames) << "chunk " << chunk;
+    if (chunk == total) {
+      EXPECT_EQ(wire.recvs, 2u);  // every frame in one recv, then EOF
+    }
+  }
+}
+
+TEST(FrameReader, GrowsToHoldAFrameLargerThanOneRead) {
+  // 200 KiB is more than one read takes: the reader grows once the header
+  // (length and type) has been validated, and the frame arrives intact.
+  const FrameList frames = {
+      {FrameType::shard_done,
+       encode_shard_done(ShardDoneBody{3, std::string(200u << 10, 'y')})},
+      {FrameType::lease_done, encode_lease_id(3)},
+  };
+  ScriptedTransport wire(4096);
+  for (const auto& [type, payload] : frames) write_frame(wire, type, payload);
+  FrameReader reader(wire);
+  EXPECT_EQ(read_all(reader), frames);
+}
+
+TEST(FrameReader, EofAtABoundaryIsQuietAndMidFrameIsTorn) {
+  {
+    ScriptedTransport wire(1);
+    write_frame(wire, FrameType::heartbeat, encode_lease_id(1));
+    FrameReader reader(wire);
+    EXPECT_EQ(read_all(reader),
+              (FrameList{{FrameType::heartbeat, encode_lease_id(1)}}));
+  }
+  // Cut inside the header and inside the payload: both are torn frames.
+  for (const std::size_t cut : {std::size_t{3}, std::size_t{9}}) {
+    ScriptedTransport sender(64);
+    write_frame(sender, FrameType::heartbeat, encode_lease_id(1));
+    std::string bytes(64, '\0');
+    bytes.resize(sender.recv_some(bytes.data(), bytes.size()));
+    ASSERT_EQ(bytes.size(), kFrameHeaderBytes + 8);
+    ScriptedTransport wire(2);
+    wire.send_all(bytes.data(), cut);
+    FrameReader reader(wire);
+    EXPECT_THROW((void)read_all(reader), sim::ContractViolation)
+        << "cut at " << cut;
+  }
+}
+
+TEST(FrameReader, BadHeadersThrowBeforeTheBufferGrows) {
+  // Each header is refused from its first 4 or 5 bytes: the reader never
+  // asks the transport for more than one ordinary read, however large the
+  // length field claims the frame is.
+  const std::uint32_t too_long = kMaxFrameBytes + 1;
+  const std::uint32_t plausible = 1u << 20;
+  const std::vector<std::vector<unsigned char>> headers = {
+      {0, 0, 0, 0},                                         // zero length
+      {0xff, 0xff, 0xff, 0x7f},                             // 2 GiB
+      {static_cast<unsigned char>(too_long),
+       static_cast<unsigned char>(too_long >> 8),
+       static_cast<unsigned char>(too_long >> 16),
+       static_cast<unsigned char>(too_long >> 24)},         // just over cap
+      {static_cast<unsigned char>(plausible),
+       static_cast<unsigned char>(plausible >> 8),
+       static_cast<unsigned char>(plausible >> 16),
+       static_cast<unsigned char>(plausible >> 24), 99},    // unknown type
+  };
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}}) {
+    for (const auto& header : headers) {
+      ScriptedTransport wire(chunk);
+      wire.send_all(header.data(), header.size());
+      const std::string filler(64, 'z');
+      wire.send_all(filler.data(), filler.size());
+      FrameReader reader(wire);
+      EXPECT_THROW((void)read_all(reader), sim::ContractViolation);
+      EXPECT_LE(wire.largest_request, std::size_t{16} << 10);
+    }
+  }
+}
+
 // -------------------------------------------------------------- integration
 
 /// THE acceptance pin: coordinator + 3 workers must equal a single-process
@@ -563,14 +738,8 @@ TEST(Fabric, DuplicateCompletionsFromTheReLeaseRaceAreTolerated) {
   });
 
   Transport& wire = *ends.second;
-  HelloBody hello;
-  hello.spec_hash = spec.spec_hash();
-  hello.seed = spec.seed;
-  hello.shard_count = campaign.scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
+  say_hello(wire, spec);
   Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::hello_ok);
 
   // Our writes race the coordinator's post-campaign close exactly as a real
   // worker's do (the campaign completes at OUR final shard_done): on a
@@ -712,6 +881,232 @@ TEST(Fabric, SecondHelloBuriesThePeer) {
   expect_reports_bit_identical(report, Campaign(small_spec()).run(1));
 }
 
+TEST(Fabric, ForeignHeartbeatBuriesThePeerAndExtendsNoLease) {
+  // The holder takes lease [0, 2) and goes silent; the intruder names the
+  // holder's lease in a heartbeat. That is a protocol violation: the
+  // intruder is buried (closed without shutdown, its own lease re-queued),
+  // and the holder's lease still expires on its own deadline and is re-run
+  // by the real worker.
+  const CampaignSpec spec = small_spec();
+  auto holder = transport_pair();
+  auto intruder = transport_pair();
+  auto good = transport_pair();
+  std::optional<CampaignReport> merged;
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.lease.batch = 2;
+  config.lease.lease_timeout_ms = 100;
+  config.log = &log;
+  Coordinator coordinator(spec, config);
+  std::thread coordinator_thread([&coordinator, &merged,
+                                  a = std::move(holder.first),
+                                  b = std::move(intruder.first),
+                                  c = std::move(good.first)]() mutable {
+    std::vector<std::unique_ptr<Transport>> workers;
+    workers.push_back(std::move(a));
+    workers.push_back(std::move(b));
+    workers.push_back(std::move(c));
+    merged = coordinator.run(std::move(workers));
+  });
+
+  say_hello(*holder.second, spec);
+  const LeaseGrantBody held = take_lease(*holder.second);
+  say_hello(*intruder.second, spec);
+  (void)take_lease(*intruder.second);
+  write_frame(*intruder.second, FrameType::heartbeat,
+              encode_lease_id(held.lease_id));
+
+  std::thread good_thread([end = std::move(good.second), spec]() mutable {
+    Worker worker(spec);
+    (void)worker.run(*end);
+  });
+  Frame frame;
+  ASSERT_TRUE(read_frame(*holder.second, frame));
+  EXPECT_EQ(frame.type, FrameType::shutdown);
+  coordinator_thread.join();
+  good_thread.join();
+
+  EXPECT_FALSE(read_frame(*intruder.second, frame));  // buried: closed
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(coordinator.stats().workers_died, 1u);
+  EXPECT_GE(coordinator.stats().leases_expired, 1u);
+  EXPECT_NE(log.str().find("a lease the worker does not hold"),
+            std::string::npos);
+  EXPECT_NE(log.str().find("lease " + std::to_string(held.lease_id) +
+                           " [0, 2) expired"),
+            std::string::npos);
+  expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
+}
+
+TEST(Fabric, ForeignLeaseDoneBuriesThePeerAndReQueuesNothing) {
+  // The intruder closes the holder's lease with lease_done while the holder
+  // still runs it. Honouring that would re-queue [0, 2) and run it twice;
+  // instead the intruder is buried, the holder finishes its own range, and
+  // the real worker runs exactly the other six shards.
+  const CampaignSpec spec = small_spec();
+  const Campaign campaign(spec);
+  auto holder = transport_pair();
+  auto intruder = transport_pair();
+  auto good = transport_pair();
+  std::optional<CampaignReport> merged;
+  std::ostringstream log;
+  CoordinatorConfig config;
+  config.lease.batch = 2;
+  config.log = &log;
+  Coordinator coordinator(spec, config);
+  std::thread coordinator_thread([&coordinator, &merged,
+                                  a = std::move(holder.first),
+                                  b = std::move(intruder.first),
+                                  c = std::move(good.first)]() mutable {
+    std::vector<std::unique_ptr<Transport>> workers;
+    workers.push_back(std::move(a));
+    workers.push_back(std::move(b));
+    workers.push_back(std::move(c));
+    merged = coordinator.run(std::move(workers));
+  });
+
+  say_hello(*holder.second, spec);
+  const LeaseGrantBody held = take_lease(*holder.second);
+  say_hello(*intruder.second, spec);
+  (void)take_lease(*intruder.second);
+  write_frame(*intruder.second, FrameType::lease_done,
+              encode_lease_id(held.lease_id));
+
+  std::size_t good_shards = 0;
+  std::thread good_thread(
+      [end = std::move(good.second), spec, &good_shards]() mutable {
+        Worker worker(spec);
+        good_shards = worker.run(*end);
+      });
+  for (std::uint64_t index = held.begin; index < held.end; ++index) {
+    write_frame(*holder.second, FrameType::heartbeat,
+                encode_lease_id(held.lease_id));
+    write_frame(*holder.second, FrameType::shard_done,
+                encode_shard_done(ShardDoneBody{
+                    held.lease_id, record_line(campaign, index)}));
+  }
+  Frame frame;
+  ASSERT_TRUE(read_frame(*holder.second, frame));
+  EXPECT_EQ(frame.type, FrameType::shutdown);
+  coordinator_thread.join();
+  good_thread.join();
+
+  EXPECT_FALSE(read_frame(*intruder.second, frame));  // buried: closed
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(coordinator.stats().duplicate_shards, 0u);
+  EXPECT_EQ(coordinator.stats().shards_merged, campaign.scenario_count());
+  EXPECT_EQ(good_shards, campaign.scenario_count() - (held.end - held.begin));
+  EXPECT_NE(log.str().find("a lease the worker does not hold"),
+            std::string::npos);
+  expect_reports_bit_identical(*merged, Campaign(small_spec()).run(1));
+}
+
+TEST(Fabric, HostileShardDoneBuriesThePeerAndAppendsNothing) {
+  // A lease holder whose shard_done is not exactly one record of its own
+  // lease is buried before anything reaches the checkpoint or the fold:
+  //  - a second record after the first one's "end\n" (shard 7, which this
+  //    max_shards=4 run never leases, so a smuggled append would survive
+  //    compaction and show in the checkpoint bytes);
+  //  - a token after the sentinel;
+  //  - a record of a shard outside the lease's range;
+  //  - a lease id the peer was never granted.
+  // The real worker then finishes bit-identical, checkpoint bytes included.
+  CampaignSpec capped = small_spec();
+  capped.max_shards = 4;
+  const Campaign campaign(capped);
+  TempFile reference_ckpt("hostile_reference");
+  CampaignSpec reference_spec = capped;
+  reference_spec.checkpoint_path = reference_ckpt.path;
+  const CampaignReport reference = Campaign(reference_spec).run(1);
+  report::compact_checkpoint(reference_ckpt.path);
+
+  const std::string first = record_line(campaign, 0);
+  std::string trailing = first;
+  trailing.insert(trailing.size() - 1, " foo");
+  struct Hostile {
+    const char* name;
+    std::uint64_t lease_shift;  // added to the granted lease id
+    std::string line;
+    const char* logged;
+  };
+  const std::vector<Hostile> hostile = {
+      {"smuggled second record", 0, first + record_line(campaign, 7),
+       "bytes after its end sentinel"},
+      {"trailing token", 0, trailing, "torn record"},
+      {"shard outside the lease", 0, record_line(campaign, 3),
+       "outside its lease's range"},
+      {"foreign lease id", 5, first, "a lease the worker does not hold"},
+  };
+  for (const Hostile& h : hostile) {
+    SCOPED_TRACE(h.name);
+    TempFile checkpoint("hostile");
+    CampaignSpec spec = capped;
+    spec.checkpoint_path = checkpoint.path;
+    auto evil = transport_pair();
+    auto good = transport_pair();
+    std::optional<CampaignReport> merged;
+    std::ostringstream log;
+    CoordinatorConfig config;
+    config.lease.batch = 2;
+    config.log = &log;
+    Coordinator coordinator(spec, config);
+    std::thread coordinator_thread(
+        [&coordinator, &merged, a = std::move(evil.first),
+         b = std::move(good.first)]() mutable {
+          std::vector<std::unique_ptr<Transport>> workers;
+          workers.push_back(std::move(a));
+          workers.push_back(std::move(b));
+          merged = coordinator.run(std::move(workers));
+        });
+    say_hello(*evil.second, spec);
+    const LeaseGrantBody lease = take_lease(*evil.second);
+    ASSERT_EQ(lease.begin, 0u);
+    write_frame(*evil.second, FrameType::shard_done,
+                encode_shard_done(ShardDoneBody{
+                    lease.lease_id + h.lease_shift, h.line}));
+    std::thread good_thread([end = std::move(good.second), spec]() mutable {
+      Worker worker(spec);
+      (void)worker.run(*end);
+    });
+    coordinator_thread.join();
+    good_thread.join();
+
+    Frame frame;
+    EXPECT_FALSE(read_frame(*evil.second, frame));  // buried: closed
+    ASSERT_TRUE(merged.has_value());
+    EXPECT_EQ(coordinator.stats().workers_died, 1u);
+    EXPECT_EQ(coordinator.stats().duplicate_shards, 0u);
+    EXPECT_NE(log.str().find(h.logged), std::string::npos) << log.str();
+    expect_reports_bit_identical(*merged, reference);
+    EXPECT_EQ(read_file(checkpoint.path), read_file(reference_ckpt.path));
+  }
+}
+
+TEST(Fabric, CoordinatorResumeFailsLoudlyOnACorruptCompleteRecord) {
+  // Compaction copies lines without parsing them, so the loud refusal of a
+  // sentinel-complete but corrupt record lives in plan_resume's validation
+  // pass — which the coordinator's resume runs before it leases anything.
+  TempFile checkpoint("corrupt_resume");
+  CampaignSpec spec = small_spec();
+  spec.checkpoint_path = checkpoint.path;
+  {
+    CampaignSpec partial = spec;
+    partial.max_shards = 3;
+    (void)Campaign(partial).run(1);
+  }
+  std::string bytes = read_file(checkpoint.path);
+  const auto digest = bytes.find(" dgst ", bytes.find('\n'));
+  ASSERT_NE(digest, std::string::npos);
+  bytes.replace(digest, 6, " dgsx ");  // record 2 of 3, "end" intact
+  {
+    std::ofstream out(checkpoint.path, std::ios::trunc);
+    out << bytes;
+  }
+  Coordinator coordinator(spec);
+  EXPECT_THROW((void)coordinator.run({}), sim::ContractViolation);
+  EXPECT_EQ(read_file(checkpoint.path), bytes);  // refused, not rewritten
+}
+
 TEST(Fabric, TornFrameBuriesTheWorkerAndItsWorkIsReLeased) {
   // A worker that takes a lease and then sends garbage is compromised; the
   // coordinator must bury it, re-lease its range and finish the campaign
@@ -737,17 +1132,8 @@ TEST(Fabric, TornFrameBuriesTheWorkerAndItsWorkIsReLeased) {
 
   // Evil handshakes correctly and takes a lease first...
   Transport& wire = *evil.second;
-  HelloBody hello;
-  hello.spec_hash = spec.spec_hash();
-  hello.seed = spec.seed;
-  hello.shard_count = Campaign(spec).scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::hello_ok);
-  write_frame(wire, FrameType::lease_request);
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::lease_grant);
+  say_hello(wire, spec);
+  (void)take_lease(wire);
   // ...then emits a frame with an unknown type byte.
   const unsigned char garbage[] = {1, 0, 0, 0, 99};
   wire.send_all(garbage, sizeof garbage);
@@ -794,23 +1180,15 @@ TEST(Fabric, HeartbeatExpiryReLeasesAStalledRange) {
   // The stalling worker joins and takes a lease before the healthy worker
   // exists, so the stall provably covers real work...
   Transport& wire = *stalled.second;
-  HelloBody hello;
-  hello.spec_hash = spec.spec_hash();
-  hello.seed = spec.seed;
-  hello.shard_count = Campaign(spec).scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::hello_ok);
-  write_frame(wire, FrameType::lease_request);
-  ASSERT_TRUE(read_frame(wire, frame));
-  ASSERT_EQ(frame.type, FrameType::lease_grant);
+  say_hello(wire, spec);
+  (void)take_lease(wire);
 
   // ...then goes silent until shutdown.
   std::thread good_thread([end = std::move(good.second), spec]() mutable {
     Worker worker(spec);
     (void)worker.run(*end);
   });
+  Frame frame;
   ASSERT_TRUE(read_frame(wire, frame));
   EXPECT_EQ(frame.type, FrameType::shutdown);
   coordinator_thread.join();

@@ -245,6 +245,49 @@ TEST(Checkpoint, CorruptCompleteRecordFailsLoudly) {
   EXPECT_THROW((void)load_checkpoint(file.path), sim::ContractViolation);
 }
 
+TEST(Checkpoint, BytesAfterTheSentinelAreRefused) {
+  // A record is exactly one line: render_checkpoint_record's bytes, with
+  // or without the final '\n'. Anything after the sentinel — a second
+  // record, a stray token, a space — would go to disk unchecked once the
+  // line is appended verbatim, so a complete line carrying it is loud and a
+  // line that no longer ends in the sentinel is torn.
+  const std::string line = render_checkpoint_record(sample_checkpoint(4));
+  const std::string bare = line.substr(0, line.size() - 1);
+  ShardCheckpoint record;
+  EXPECT_TRUE(parse_checkpoint_record(line, record));
+  EXPECT_TRUE(parse_checkpoint_record(bare, record));
+  for (const std::string& complete :
+       {line + render_checkpoint_record(sample_checkpoint(7)),
+        line + "\n", bare + " \n", bare + " end\n"}) {
+    EXPECT_THROW((void)parse_checkpoint_record(complete, record),
+                 sim::ContractViolation)
+        << complete.substr(complete.size() - 12);
+  }
+  EXPECT_FALSE(parse_checkpoint_record(bare + " foo\n", record));
+  // A '\n' between tokens is refused too, wherever it sits.
+  std::string split = line;
+  split[split.find(' ')] = '\n';
+  EXPECT_THROW((void)parse_checkpoint_record(split, record),
+               sim::ContractViolation);
+}
+
+TEST(Checkpoint, AppendLineWritesExactlyOneLine) {
+  TempFile file("ckpt_append_line");
+  const std::string line = render_checkpoint_record(sample_checkpoint(4));
+  {
+    CheckpointWriter writer(file.path);
+    writer.append_line(line);
+    EXPECT_THROW(writer.append_line(line.substr(0, line.size() - 1)),
+                 sim::ContractViolation);
+    EXPECT_THROW(writer.append_line(line + line), sim::ContractViolation);
+    EXPECT_THROW(writer.append_line(""), sim::ContractViolation);
+  }
+  std::ifstream in(file.path);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  EXPECT_EQ(bytes.str(), line);
+}
+
 TEST(Checkpoint, TornUnknownKindFragmentIsStillSkipped) {
   // The counterpart: the same foreign prefix WITHOUT the sentinel is a
   // torn write by definition and stays silently skippable — loud failure
@@ -423,6 +466,37 @@ TEST(Checkpoint, StreamingCompactionWritesLastRecordPerShardAscending) {
   EXPECT_EQ(bytes.str(), render_checkpoint_record(sample_checkpoint(2)) +
                              render_checkpoint_record(sample_checkpoint(5)) +
                              render_checkpoint_record(rerun));
+}
+
+TEST(Checkpoint, CompactionCopiesLinesByteForByte) {
+  // Compaction keys lines by "ckpt2 <index> " and the "end" sentinel and
+  // copies the winners verbatim: a body it could not even parse survives
+  // untouched (validation is the resume's job, before it compacts), and a
+  // final line a kill cut right after its sentinel gets its '\n'. A
+  // complete line of another kind is still refused.
+  const std::string two = render_checkpoint_record(sample_checkpoint(2));
+  TempFile file("ckpt_compact_verbatim");
+  {
+    std::ofstream out(file.path, std::ios::trunc);
+    out << "ckpt2 9 opaque  body end\n" << two << "ckpt2 5 torn-fragmen\n"
+        << "ckpt2 5 last wins end";
+  }
+  compact_checkpoint(file.path);
+  std::stringstream bytes;
+  bytes << std::ifstream(file.path).rdbuf();
+  EXPECT_EQ(bytes.str(), two + "ckpt2 5 last wins end\n" +
+                             "ckpt2 9 opaque  body end\n");
+
+  for (const std::string& unknown :
+       {std::string("ckpt1 3 123 8 0 1 end"), std::string("ckpt2 x end"),
+        std::string("ckpt2 -3 end"), std::string("end")}) {
+    {
+      std::ofstream out(file.path, std::ios::trunc);
+      out << two << unknown << '\n';
+    }
+    EXPECT_THROW(compact_checkpoint(file.path), sim::ContractViolation)
+        << unknown;
+  }
 }
 
 TEST(Checkpoint, StreamingCompactionOfMissingFileIsANoop) {
