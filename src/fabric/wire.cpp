@@ -124,8 +124,10 @@ bool FrameReader::next(FrameView& out) {
 }
 
 bool FrameReader::fill() {
-  // A read takes up to this much; a ckpt2 record is one to a few KiB, so
-  // one recv usually drains every frame a worker has queued.
+  // A read takes up to this much. A one-tool shard_done frame is ~0.8 KiB
+  // (perfbench sweep-fabric: 812-B record + 13 B of header and lease id),
+  // so a default 16-shard lease with its heartbeats is ~13 KiB and one
+  // recv usually drains every frame a worker has queued.
   constexpr std::size_t kReadBytes = 16u << 10;
   // Slide the partial frame (if any) to the front, then make room for all
   // of it: frame_size() has validated its header before it sizes anything.

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -77,24 +78,59 @@ namespace {
 /// sentinel — the writer finished this record, so it is complete, whatever
 /// else is wrong with it.
 bool has_end_sentinel(std::string_view line) {
-  const auto last = line.find_last_not_of(" \t\r\n");
-  if (last == std::string::npos || line[last] != 'd') return false;
-  if (last < 2 || line[last - 1] != 'n' || line[last - 2] != 'e') return false;
-  return last == 2 || line[last - 3] == ' ' || line[last - 3] == '\t';
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  auto last = line.size();
+  while (last > 0 && is_space(line[last - 1])) --last;
+  if (last < 3 || line.substr(last - 3, 3) != "end") return false;
+  return last == 3 || is_space(line[last - 4]);
+}
+
+/// The scenario index in a line's "ckpt2 <index> " prefix — the key
+/// compaction groups lines by; nullopt when the line has no such prefix.
+std::optional<std::size_t> record_key(std::string_view line) {
+  constexpr std::string_view kMagic = "ckpt2 ";
+  if (line.substr(0, kMagic.size()) != kMagic) return std::nullopt;
+  std::size_t index = 0;
+  const char* last = line.data() + line.size();
+  const auto [end, error] =
+      std::from_chars(line.data() + kMagic.size(), last, index);
+  if (error != std::errc{} || end == last || *end != ' ') return std::nullopt;
+  return index;
+}
+
+/// True when `line` is spelled as render_checkpoint_record spells it: one
+/// ' ' between tokens, none before the first or after the last, no other
+/// whitespace, and at most one '\n', last. The parser below reads tokens
+/// with `>>`, which would also take tabs, runs of spaces or a second line;
+/// compaction keys and copies lines by their bytes, so every spelling the
+/// two would read differently is refused here.
+bool canonical_spacing(std::string_view line) {
+  if (!line.empty() && line.back() == '\n') line.remove_suffix(1);
+  if (line.empty() || line.front() == ' ' || line.back() == ' ') return false;
+  char previous = '\0';
+  for (const char c : line) {
+    if (c == ' ' ? previous == ' '
+                 : std::isspace(static_cast<unsigned char>(c)) != 0) {
+      return false;
+    }
+    previous = c;
+  }
+  return true;
 }
 
 /// Parses one complete-record body; returns false on any malformation.
 bool parse_record_body(std::string_view line, ShardCheckpoint& out) {
-  // One record per line: a '\n' anywhere but last would let one payload
-  // smuggle a second, unchecked record onto disk.
-  if (const auto newline = line.find('\n');
-      newline != std::string_view::npos && newline + 1 != line.size()) {
-    return false;
-  }
+  // One record per line, spelled canonically, its index the one compaction
+  // will key it by: anything else could smuggle a second, unchecked record
+  // onto disk, or pass here and fail compaction after the run.
+  if (!canonical_spacing(line)) return false;
+  const auto key = record_key(line);
+  if (!key.has_value()) return false;
   std::istringstream in{std::string(line)};
   std::string magic;
   in >> magic;
-  if (magic != "ckpt2") return false;
   try {
     ShardSummary& s = out.summary;
     std::string hash_hex;
@@ -103,7 +139,10 @@ bool parse_record_body(std::string_view line, ShardCheckpoint& out) {
     in >> s.info.scenario_index >> s.info.shard_seed >> hash_hex >>
         s.info.phone_count >> s.probes_sent >> s.probes_lost >>
         s.frames_on_air >> s.events_fired >> sim_bits >> digest_count;
-    if (!in || hash_hex.size() != 16 || sim_bits.size() != 16) return false;
+    if (!in || s.info.scenario_index != *key || hash_hex.size() != 16 ||
+        sim_bits.size() != 16) {
+      return false;
+    }
     out.spec_hash = std::strtoull(hash_hex.c_str(), nullptr, 16);
     s.sim_seconds = stats::double_from_bits(
         std::strtoull(sim_bits.c_str(), nullptr, 16));
@@ -180,24 +219,17 @@ void durable_replace(const std::string& temp, const std::string& path) {
 
 constexpr const char* kUnknownComplete =
     "checkpoint: complete record of an unknown kind or version (expected "
-    "ckpt2), or with bytes after its end sentinel — refusing to silently "
-    "skip it; delete or migrate the checkpoint file";
+    "ckpt2), with non-canonical spacing, or with bytes after its end "
+    "sentinel — refusing to silently skip it; delete or migrate the "
+    "checkpoint file";
 
 /// Compaction's key: the scenario index of a complete line, read from its
 /// "ckpt2 <index> " prefix alone; nullopt for a torn line (no sentinel).
 /// A complete line without that prefix is an unknown kind: loud.
 std::optional<std::size_t> complete_record_index(std::string_view line) {
   if (!has_end_sentinel(line)) return std::nullopt;
-  constexpr std::string_view kMagic = "ckpt2 ";
-  std::size_t index = 0;
-  bool keyed = line.substr(0, kMagic.size()) == kMagic;
-  if (keyed) {
-    const char* last = line.data() + line.size();
-    const auto [end, error] =
-        std::from_chars(line.data() + kMagic.size(), last, index);
-    keyed = error == std::errc{} && end != last && *end == ' ';
-  }
-  expects(keyed, kUnknownComplete);
+  const auto index = record_key(line);
+  expects(index.has_value(), kUnknownComplete);
   return index;
 }
 

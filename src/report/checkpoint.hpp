@@ -125,12 +125,15 @@ void for_each_checkpoint(const std::string& path,
 /// false on a torn write (no "end" sentinel — the writer died mid-append,
 /// the shard simply reruns). Nothing may follow the sentinel but one
 /// optional '\n', and no '\n' may come before it: a line is exactly one
-/// record. A line the writer *finished* that still fails to parse — an
-/// unknown record kind or version, a foreign tool/vantage name, bytes after
-/// the sentinel — is a loud contract violation: silently skipping it would
-/// re-run and double-merge a shard the file already accounts for. The
-/// fabric wire protocol ships ckpt2 lines verbatim, so this is also the
-/// frame-payload decoder.
+/// record. Tokens are separated by single spaces, with none before the
+/// first or after the last, and the index must read the same as the
+/// "ckpt2 <index> " prefix compaction keys by — so every line this accepts
+/// compacts. A line the writer *finished* that still fails to parse — an
+/// unknown record kind or version, a foreign tool/vantage name, off-canon
+/// spacing, bytes after the sentinel — is a loud contract violation:
+/// silently skipping it would re-run and double-merge a shard the file
+/// already accounts for. The fabric wire protocol ships ckpt2 lines
+/// verbatim, so this is also the frame-payload decoder.
 [[nodiscard]] bool parse_checkpoint_record(std::string_view line,
                                            ShardCheckpoint& out);
 

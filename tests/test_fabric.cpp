@@ -1009,7 +1009,11 @@ TEST(Fabric, HostileShardDoneBuriesThePeerAndAppendsNothing) {
   //    compaction and show in the checkpoint bytes);
   //  - a token after the sentinel;
   //  - a record of a shard outside the lease's range;
-  //  - a lease id the peer was never granted.
+  //  - a lease id the peer was never granted;
+  //  - a record `>>` would read but spelled off-canon (a tab, two spaces, a
+  //    leading space, a "+0" index): compaction keys lines by their
+  //    "ckpt2 <index> " bytes, so appending one would make the end-of-run
+  //    compaction, and every later resume, throw.
   // The real worker then finishes bit-identical, checkpoint bytes included.
   CampaignSpec capped = small_spec();
   capped.max_shards = 4;
@@ -1023,6 +1027,7 @@ TEST(Fabric, HostileShardDoneBuriesThePeerAndAppendsNothing) {
   const std::string first = record_line(campaign, 0);
   std::string trailing = first;
   trailing.insert(trailing.size() - 1, " foo");
+  const std::string body = first.substr(std::string("ckpt2 0").size());
   struct Hostile {
     const char* name;
     std::uint64_t lease_shift;  // added to the granted lease id
@@ -1036,6 +1041,10 @@ TEST(Fabric, HostileShardDoneBuriesThePeerAndAppendsNothing) {
       {"shard outside the lease", 0, record_line(campaign, 3),
        "outside its lease's range"},
       {"foreign lease id", 5, first, "a lease the worker does not hold"},
+      {"tab after the magic", 0, "ckpt2\t0" + body, "non-canonical"},
+      {"two spaces after the magic", 0, "ckpt2  0" + body, "non-canonical"},
+      {"leading space", 0, " " + first, "non-canonical"},
+      {"signed index", 0, "ckpt2 +0" + body, "non-canonical"},
   };
   for (const Hostile& h : hostile) {
     SCOPED_TRACE(h.name);

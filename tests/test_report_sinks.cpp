@@ -269,6 +269,20 @@ TEST(Checkpoint, BytesAfterTheSentinelAreRefused) {
   split[split.find(' ')] = '\n';
   EXPECT_THROW((void)parse_checkpoint_record(split, record),
                sim::ContractViolation);
+  // So is every spelling `>>` reads but compaction would key differently
+  // (or not at all): the parser and compaction must agree on each line.
+  const std::string tail = line.substr(std::string("ckpt2 4").size());
+  std::string tab_end = line;
+  tab_end[tab_end.rfind(" end")] = '\t';
+  std::string double_space = line;
+  double_space.insert(double_space.find(" dgst "), " ");
+  for (const std::string& off_canon :
+       {"ckpt2\t4" + tail, "ckpt2  4" + tail, " " + line, "ckpt2 +4" + tail,
+        tab_end, double_space, bare + "\r\n"}) {
+    EXPECT_THROW((void)parse_checkpoint_record(off_canon, record),
+                 sim::ContractViolation)
+        << off_canon.substr(0, 12);
+  }
 }
 
 TEST(Checkpoint, AppendLineWritesExactlyOneLine) {
