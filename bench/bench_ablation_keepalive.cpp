@@ -45,7 +45,7 @@ CadenceResult measure_cadence(const phone::PhoneProfile& profile, int db_ms,
   options.background_interval = sim::Duration::millis(db_ms);
   options.warmup_lead = sim::Duration::millis(std::min(db_ms, 20));
   core::AcuteMon monitor(testbed.phone(), mt, options);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   const auto samples = testbed.layer_samples(monitor.result());
   CadenceResult result;

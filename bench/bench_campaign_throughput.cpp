@@ -461,14 +461,21 @@ WorkloadRow run_workload(tools::ToolKind kind, std::size_t workers) {
 
 // Passive-vantage overhead rung: the same TCP-workload grid twice — once
 // active-only, once with both passive observers (sniffer pping + per-app
-// monitor) attached — best of three each. The observers sit on the capture
-// and demux hot paths of every frame, so this is the number that catches a
-// regression from "pure observer" to "accidental participant"; the budget
-// is <= 5% wall overhead.
+// monitor) attached — over kPassiveRepetitions pairs. The observers sit on
+// the capture and demux hot paths of every frame, so this is the number
+// that catches a regression from "pure observer" to "accidental
+// participant"; the budget is <= 5% wall overhead. The pairs alternate
+// which side runs first, so neither side always runs on a colder or a
+// warmer machine, and the per-pair ratio's median and spread say how far
+// one overhead figure can be trusted.
+constexpr int kPassiveRepetitions = 4;
+
 struct PassiveOverhead {
-  double active_seconds = 0;
-  double passive_seconds = 0;
-  double overhead = 0;  // passive/active - 1
+  double active_seconds = 0;   // best over the repetitions
+  double passive_seconds = 0;  // best over the repetitions
+  double overhead = 0;         // passive_seconds / active_seconds - 1
+  double ratio_median = 0;     // median per-pair passive/active wall ratio
+  double ratio_spread = 0;     // max - min of the per-pair ratio
   std::size_t passive_samples = 0;
 };
 
@@ -492,35 +499,47 @@ PassiveOverhead run_passive_overhead(std::size_t workers) {
     spec.keep_samples = false;
     return spec;
   };
-  constexpr int kRepetitions = 3;
   PassiveOverhead result;
-  double active_best = 0, passive_best = 0;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    {
-      testbed::Campaign campaign(build_spec(passive::PassiveVantage::none));
-      const auto start = std::chrono::steady_clock::now();
-      (void)campaign.run(workers);
-      const double wall = wall_seconds_since(start);
-      if (active_best == 0 || wall < active_best) active_best = wall;
-    }
-    {
-      testbed::Campaign campaign(build_spec(passive::PassiveVantage::both));
-      const auto start = std::chrono::steady_clock::now();
-      const testbed::CampaignReport report = campaign.run(workers);
-      const double wall = wall_seconds_since(start);
-      if (passive_best == 0 || wall < passive_best) passive_best = wall;
-      if (rep == 0) {
-        for (const report::WorkloadDigest& digest :
-             report.workload_digests()) {
-          result.passive_samples +=
-              digest.passive_sniffer_samples + digest.passive_app_samples;
-        }
+  // Wall seconds of one side's run; the first passive run also counts the
+  // passive samples.
+  const auto time_side = [&](passive::PassiveVantage vantage) {
+    testbed::Campaign campaign(build_spec(vantage));
+    const auto start = std::chrono::steady_clock::now();
+    const testbed::CampaignReport report = campaign.run(workers);
+    const double wall = wall_seconds_since(start);
+    if (vantage != passive::PassiveVantage::none &&
+        result.passive_samples == 0) {
+      for (const report::WorkloadDigest& digest : report.workload_digests()) {
+        result.passive_samples +=
+            digest.passive_sniffer_samples + digest.passive_app_samples;
       }
     }
+    return wall;
+  };
+  double active_best = 0, passive_best = 0;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < kPassiveRepetitions; ++rep) {
+    double active = 0, passive_wall = 0;
+    if (rep % 2 == 0) {
+      active = time_side(passive::PassiveVantage::none);
+      passive_wall = time_side(passive::PassiveVantage::both);
+    } else {
+      passive_wall = time_side(passive::PassiveVantage::both);
+      active = time_side(passive::PassiveVantage::none);
+    }
+    if (active_best == 0 || active < active_best) active_best = active;
+    if (passive_best == 0 || passive_wall < passive_best) {
+      passive_best = passive_wall;
+    }
+    ratios.push_back(passive_wall / active);
   }
+  std::sort(ratios.begin(), ratios.end());
   result.active_seconds = active_best;
   result.passive_seconds = passive_best;
   result.overhead = passive_best / active_best - 1.0;
+  result.ratio_median =
+      (ratios[(ratios.size() - 1) / 2] + ratios[ratios.size() / 2]) / 2;
+  result.ratio_spread = ratios.back() - ratios.front();
   return result;
 }
 
@@ -729,11 +748,14 @@ int main(int argc, char** argv) {
   // Passive-vantage overhead: the <= 5% budget of the pure-observer rung.
   const PassiveOverhead passive = run_passive_overhead(matrix_workers);
   std::printf(
-      "passive overhead (httping grid, both vantages, best of 3):\n"
+      "passive overhead (httping grid, both vantages, best of %d, "
+      "alternating order):\n"
       "  active=%.3fs  passive=%.3fs  overhead=%.1f%%  "
-      "(%zu passive samples; budget <= 5%%)\n",
-      passive.active_seconds, passive.passive_seconds,
-      passive.overhead * 100.0, passive.passive_samples);
+      "(%zu passive samples; budget <= 5%%)\n"
+      "  per-pair passive/active ratio: median=%.4f  spread=%.4f\n",
+      kPassiveRepetitions, passive.active_seconds, passive.passive_seconds,
+      passive.overhead * 100.0, passive.passive_samples,
+      passive.ratio_median, passive.ratio_spread);
 
   std::printf("packet path: measuring...\n");
   const PacketPath path = measure_packet_path();
@@ -832,7 +854,10 @@ int main(int argc, char** argv) {
                "      \"passive_seconds\": %.4f,\n"
                "      \"overhead\": %.4f,\n"
                "      \"overhead_budget\": 0.05,\n"
-               "      \"passive_samples\": %zu\n"
+               "      \"passive_samples\": %zu,\n"
+               "      \"repetitions\": %d,\n"
+               "      \"ratio_median\": %.4f,\n"
+               "      \"ratio_spread\": %.4f\n"
                "    }\n"
                "  },\n"
                "  \"packet_path\": {\n"
@@ -844,7 +869,8 @@ int main(int argc, char** argv) {
                "}\n",
                matrix_workers, passive.active_seconds,
                passive.passive_seconds, passive.overhead,
-               passive.passive_samples, path.roundtrip_ns,
+               passive.passive_samples, kPassiveRepetitions,
+               passive.ratio_median, passive.ratio_spread, path.roundtrip_ns,
                path.copies_per_probe, kPreRefactorRoundTripNs,
                kPreRefactorCopiesPerProbe);
   std::fclose(json);

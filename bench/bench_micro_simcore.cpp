@@ -29,9 +29,8 @@ void BM_EventQueuePushPop(benchmark::State& state) {
                  [] {});
       ++t;
     }
-    while (!queue.empty()) {
-      auto fired = queue.pop();
-      benchmark::DoNotOptimize(fired.when);
+    while (queue.fire_one(
+        [](sim::TimePoint when) { benchmark::DoNotOptimize(when); })) {
     }
   }
   state.SetItemsProcessed(state.iterations() * 64);

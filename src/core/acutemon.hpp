@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "tools/tool.hpp"
 
@@ -54,15 +53,9 @@ class AcuteMon : public tools::MeasurementTool {
   }
   [[nodiscard]] bool warmup_sent() const { return warmup_sent_; }
 
-  /// Historical spelling of start(): launches BT (warm-up + background)
-  /// and then MT after dpre. Same once-only contract as start() — the guard
-  /// sits in the non-virtual base entry, so campaigns that construct tools
-  /// through tools::make_tool() launch AcuteMon's full two-thread protocol
-  /// (and trip on double launches) with the same call as every other tool.
-  void start_measurement(DoneFn done = nullptr) { start(std::move(done)); }
-
  protected:
-  /// The two-thread launch protocol, behind start()'s guard.
+  /// The two-thread launch protocol, behind start()'s guard: launches BT
+  /// (warm-up + background) and then MT after dpre.
   void launch(DoneFn done) override;
 
   void send_probe(int index) override;

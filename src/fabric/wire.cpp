@@ -49,22 +49,6 @@ struct Cursor {
   }
 };
 
-/// Reads exactly `size` bytes. False only on EOF before the first byte;
-/// EOF after a partial read is a torn frame.
-bool recv_exact(Transport& transport, void* data, std::size_t size) {
-  char* bytes = static_cast<char*>(data);
-  std::size_t read = 0;
-  while (read < size) {
-    const std::size_t got = transport.recv_some(bytes + read, size - read);
-    if (got == 0) {
-      expects(read == 0, "fabric wire: torn frame (peer died mid-frame)");
-      return false;
-    }
-    read += got;
-  }
-  return true;
-}
-
 }  // namespace
 
 void write_frame(Transport& transport, FrameType type,
@@ -94,22 +78,6 @@ std::size_t frame_size(std::string_view prefix) {
               type <= static_cast<unsigned char>(FrameType::shutdown),
           "fabric wire: torn frame (unknown frame type)");
   return 4 + std::size_t{length};
-}
-
-bool read_frame(Transport& transport, Frame& out) {
-  char header[kFrameHeaderBytes];
-  if (!recv_exact(transport, header, 4)) return false;
-  (void)frame_size(std::string_view(header, 4));  // length before type
-  expects(recv_exact(transport, header + 4, 1),
-          "fabric wire: torn frame (peer died mid-frame)");
-  const std::size_t size = frame_size(std::string_view(header, sizeof header));
-  out.type = static_cast<FrameType>(static_cast<unsigned char>(header[4]));
-  out.payload.resize(size - kFrameHeaderBytes);
-  if (!out.payload.empty()) {
-    expects(recv_exact(transport, out.payload.data(), out.payload.size()),
-            "fabric wire: torn frame (peer died mid-frame)");
-  }
-  return true;
 }
 
 bool FrameReader::next(FrameView& out) {

@@ -7,13 +7,12 @@
 //   ...payload   — type-specific body
 //
 // EOF semantics mirror the checkpoint file's torn-line rule: end-of-stream
-// *between* frames is a clean close (read_frame returns false — how a
-// worker's death or a graceful shutdown looks to the peer), while
+// *between* frames is a clean close (FrameReader::fill/read return false —
+// how a worker's death or a graceful shutdown looks to the peer), while
 // end-of-stream *inside* a frame, a zero/oversize length or an unknown type
 // is a torn frame — a loud sim::ContractViolation, never a silent skip.
-// Both readers — read_frame (exact reads, the worker's side) and
-// FrameReader (bulk reads, the coordinator's side) — validate headers
-// through one decoder, frame_size().
+// Both peers read through one FrameReader per connection, which validates
+// headers through one decoder, frame_size().
 //
 // The shard payload is deliberately the checkpoint format itself: a
 // shard_done frame carries the exact ckpt2 line render_checkpoint_record()
@@ -67,19 +66,9 @@ enum class FrameType : std::uint8_t {
   shutdown = 10,
 };
 
-struct Frame {
-  FrameType type = FrameType::hello;
-  std::string payload;
-};
-
 /// Sends one frame (single send_all, so a kill tears at most this frame).
 void write_frame(Transport& transport, FrameType type,
                  std::string_view payload = {});
-
-/// Reads one frame into `out`. False on clean end-of-stream at a frame
-/// boundary; contract violation on a torn frame (EOF mid-frame, bad length,
-/// unknown type). Reads exactly the frame's bytes, never past it.
-[[nodiscard]] bool read_frame(Transport& transport, Frame& out);
 
 /// u32 length + u8 type.
 inline constexpr std::size_t kFrameHeaderBytes = 5;
@@ -93,20 +82,32 @@ inline constexpr std::size_t kFrameHeaderBytes = 5;
 [[nodiscard]] std::size_t frame_size(std::string_view prefix);
 
 /// A frame read in place: `payload` points into the FrameReader's buffer
-/// and is valid until the reader's next fill().
+/// and is valid until the reader's next fill() (or read()); copy what must
+/// outlive it.
 struct FrameView {
   FrameType type = FrameType::hello;
   std::string_view payload;
 };
 
-/// Buffered frame reader over one transport, for a peer that multiplexes
-/// many connections: fill() is one recv_some that takes whatever the
-/// socket holds, and next() then hands out every complete frame in the
-/// buffer without further I/O. Same EOF and torn-frame rules as
-/// read_frame.
+/// Buffered frame reader over one transport, kept for the whole
+/// conversation (frames buffered past the one asked for stay in it): fill()
+/// is one recv_some that takes whatever the socket holds, and next() then
+/// hands out every complete frame in the buffer without further I/O. The
+/// coordinator, which multiplexes many connections, drives fill()/next()
+/// from its poll loop; the worker, with one connection, blocks in read().
 class FrameReader {
  public:
   explicit FrameReader(Transport& transport) : transport_(transport) {}
+
+  /// Blocks until a whole frame is buffered, then pops it: next(), with a
+  /// fill() whenever the buffer holds no complete frame. False on clean
+  /// end-of-stream at a frame boundary; contract violation on a torn frame.
+  [[nodiscard]] bool read(FrameView& out) {
+    while (!next(out)) {
+      if (!fill()) return false;
+    }
+    return true;
+  }
 
   /// Pops the next complete buffered frame; false when the buffer holds
   /// none (call fill()). Contract violation on a bad header.

@@ -1,6 +1,7 @@
 #include "fabric/worker.hpp"
 
 #include <cstddef>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -29,16 +30,18 @@ std::size_t Worker::run(Transport& transport) {
   // shutdown and closes; a worker that connects late may even find the
   // campaign already over. A failed send therefore checks the read side
   // first: a buffered shutdown turns the failure into a graceful exit;
-  // anything else (the coordinator actually died) stays loud.
-  auto send_or_finished = [&transport](FrameType type,
-                                       std::string_view payload = {}) {
+  // anything else (the coordinator actually died) stays loud. One reader
+  // serves the whole conversation, so a frame it buffered early is never
+  // lost to a second reader.
+  FrameReader reader(transport);
+  auto send_or_finished = [&transport, &reader](
+                              FrameType type, std::string_view payload = {}) {
     try {
       write_frame(transport, type, payload);
       return false;
     } catch (const sim::ContractViolation&) {
-      Frame pending;
-      if (read_frame(transport, pending) &&
-          pending.type == FrameType::shutdown) {
+      FrameView pending;
+      if (reader.read(pending) && pending.type == FrameType::shutdown) {
         return true;
       }
       throw;
@@ -52,13 +55,16 @@ std::size_t Worker::run(Transport& transport) {
   hello.shard_count = campaign_.scenario_count();
   if (send_or_finished(FrameType::hello, encode_hello(hello))) return 0;
 
-  Frame frame;
-  expects(read_frame(transport, frame),
+  FrameView frame;
+  expects(reader.read(frame),
           "fabric worker: coordinator closed during handshake");
   if (frame.type == FrameType::reject) {
-    expects(false, ("fabric worker: coordinator rejected handshake: " +
-                    frame.payload)
-                       .c_str());
+    // The message is copied out before anything else reads: the view dies
+    // at the reader's next fill().
+    const std::string message =
+        "fabric worker: coordinator rejected handshake: " +
+        std::string(frame.payload);
+    expects(false, message.c_str());
   }
   if (frame.type == FrameType::shutdown) return 0;  // nothing to do
   expects(frame.type == FrameType::hello_ok,
@@ -74,7 +80,7 @@ std::size_t Worker::run(Transport& transport) {
       return shards_run;
     }
     request_next = true;
-    if (!read_frame(transport, frame)) {
+    if (!reader.read(frame)) {
       // Coordinator vanished without shutdown: loud, a worker must not
       // idle against a dead coordinator.
       expects(false, "fabric worker: coordinator closed unexpectedly");

@@ -36,14 +36,12 @@ void JsonlWriter::drain_held() {
 
 void JsonlWriter::submit_block(std::size_t sequence, std::string block) {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (sequence < next_release_) {
-    // New invocation on a reused writer (resume ticks): sequences restart
-    // at zero. The previous invocation released everything — each of its
-    // sequences was submitted or abandoned — so the window must be empty.
-    expects(held_.empty(),
-            "JsonlWriter: sequence restarted with blocks still in flight");
-    next_release_ = 0;
-  }
+  // Guessing a restart from a low sequence is unsound: under worker skew a
+  // new invocation's sequence 2 can arrive before its 0 and be written in
+  // the old epoch. A new invocation must say so through reset_sequence().
+  expects(sequence >= next_release_,
+          "JsonlWriter: sequence already released; a writer reused by a new "
+          "invocation must call reset_sequence() first");
   for (;;) {
     if (sequence == next_release_) {
       if (!block.empty()) writer_.append_block(block);

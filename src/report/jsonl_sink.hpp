@@ -50,21 +50,15 @@ class JsonlWriter {
                        std::size_t window = 64);
   ~JsonlWriter();
 
-  /// Appends `block` (complete lines) atomically and flushes, bypassing the
-  /// reorder window. For unsequenced callers only — do not mix with
-  /// submit_block within one campaign invocation.
-  void append_block(const std::string& block) { writer_.append_block(block); }
-
   /// Hands over one shard's complete block for in-order release. Sequences
   /// are the invocation-dense ShardInfo::run_sequence values: each appears
   /// exactly once, and blocks are written to the file in ascending sequence
   /// order regardless of arrival order. Blocks from the `window` sequences
   /// past the release point are buffered; a submitter further ahead blocks
   /// until the window drains (the release point's owner never blocks, so
-  /// the pipeline cannot deadlock). A sequence restarting at a value below
-  /// the release point begins a new invocation: the window must be empty
-  /// (it always is once every prior sequence was submitted or abandoned)
-  /// and release restarts from zero.
+  /// the pipeline cannot deadlock). A sequence below the release point is a
+  /// contract violation: a writer reused by a new invocation must call
+  /// reset_sequence() before that invocation's first submit.
   void submit_block(std::size_t sequence, std::string block);
 
   /// Releases `sequence` with no bytes: the shard died before finishing, so
@@ -72,12 +66,10 @@ class JsonlWriter {
   void abandon(std::size_t sequence);
 
   /// Starts a new invocation epoch: release restarts at sequence zero.
-  /// Call between Campaign::run invocations that share this writer (the
-  /// in-process incremental-tick pattern) — the auto-detected restart in
-  /// submit_block only triggers once a below-release-point sequence
-  /// arrives, which under multi-worker skew can be later than the first
-  /// submit of the new invocation. Requires the window to be empty (it is
-  /// once the previous run() returned).
+  /// The only way to restart: call it between Campaign::run invocations
+  /// that share this writer (the in-process incremental-tick pattern).
+  /// Requires the window to be empty (it is once the previous run()
+  /// returned).
   void reset_sequence();
 
   [[nodiscard]] const std::string& path() const { return writer_.path(); }

@@ -6,13 +6,15 @@
 // thread) are cooperating processes scheduled on this engine.
 //
 // Scheduling is allocation-free in steady state: schedule_at/schedule_in
-// build the closure directly into the event queue's slot pool (EventClosure
-// inline buffer, ClosureArena overflow), so each campaign shard recycles its
-// own memory instead of hammering the global allocator from many workers.
+// take only callables that fit EventClosure's inline buffer (InlineCallable)
+// and build them directly into the event queue's slot pool, so each campaign
+// shard recycles its own memory instead of hammering the global allocator
+// from many workers. Events fire in place through one path,
+// EventQueue::fire_one/fire_one_before.
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
+#include <utility>
 
 #include "sim/contracts.hpp"
 #include "sim/event_queue.hpp"
@@ -30,7 +32,7 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `fn` to run at absolute time `when` (must not be in the past).
-  template <typename F>
+  template <InlineCallable F>
   EventHandle schedule_at(TimePoint when, F&& fn) {
     expects(when >= now_,
             "Simulator::schedule_at time must not be in the past");
@@ -38,7 +40,7 @@ class Simulator {
   }
 
   /// Schedules `fn` to run `delay` from now (delay must be non-negative).
-  template <typename F>
+  template <InlineCallable F>
   EventHandle schedule_in(Duration delay, F&& fn) {
     expects(!delay.is_negative(),
             "Simulator::schedule_in delay must be non-negative");
@@ -64,9 +66,6 @@ class Simulator {
   /// Total events fired over this simulator's lifetime (work accounting for
   /// campaign throughput benches).
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
-
-  /// The underlying event queue (compaction / arena introspection).
-  [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
   /// Drops all pending events without firing them.
   void clear() { queue_.clear(); }

@@ -28,7 +28,7 @@ class OneShotTimer {
   void restart(Duration delay) {
     cancel();
     handle_ =
-        sim_->schedule_in(delay, assert_fits_inline([this] { on_fire_(); }));
+        sim_->schedule_in(delay, [this] { on_fire_(); });
   }
 
   /// Stops the timer if armed. Idempotent.
@@ -99,13 +99,13 @@ class PeriodicTimer {
 
  private:
   void schedule_next(TimePoint when) {
-    handle_ = sim_->schedule_at(when, assert_fits_inline([this, when] {
+    handle_ = sim_->schedule_at(when, [this, when] {
       const std::uint64_t index = tick_index_++;
       // Schedule the next tick before running user code so the callback can
       // call stop() and win.
       if (running_) schedule_next(when + period_);
       on_tick_(index);
-    }));
+    });
   }
 
   Simulator* sim_;

@@ -100,7 +100,7 @@ MultiLayerResult Experiment::acutemon(const AcuteMonSpec& spec) {
   options.background_enabled = spec.background_enabled;
   options.method = spec.method;
   core::AcuteMon monitor(testbed.phone(), tool_config, options);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   MultiLayerResult result = collect(testbed, monitor);
   testbed.stop_cross_traffic();

@@ -167,10 +167,9 @@ void Station::schedule_beacon_wake() {
   while ((k - doze_beacon_index_) % wake_every != 0) ++k;
   const TimePoint wake_at =
       tbtt_anchor_ + interval * k - config_.wake_guard;
-  beacon_wake_ = sim_->schedule_at(
-      std::max(wake_at, sim_->now()), sim::assert_fits_inline([this] {
-        if (state_ == PowerState::dozing) radio_.set_receiving(true);
-      }));
+  beacon_wake_ = sim_->schedule_at(std::max(wake_at, sim_->now()), [this] {
+    if (state_ == PowerState::dozing) radio_.set_receiving(true);
+  });
 }
 
 void Station::handle_beacon(const Packet& beacon) {

@@ -31,7 +31,7 @@ TEST(AcuteMon, WarmupPrecedesFirstProbeByDpre) {
   testbed.settle(800_ms);
   AcuteMon monitor(testbed.phone(), mt_config(5));
   const auto start = testbed.simulator().now();
-  monitor.start_measurement();
+  monitor.start();
   EXPECT_TRUE(monitor.warmup_sent());
   testbed.run_until_finished(monitor);
   // First probe left dpre = 20 ms after the warm-up.
@@ -51,7 +51,7 @@ TEST(AcuteMon, BackgroundCadenceMatchesPaperEstimate) {
   Testbed testbed(tb_config);
   testbed.settle(800_ms);
   AcuteMon monitor(testbed.phone(), mt_config(5));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   EXPECT_NEAR(double(monitor.background_packets_sent()), 25.0, 6.0);
 }
@@ -65,7 +65,7 @@ TEST(AcuteMon, KeepAlivesDieAtTheGateway) {
   const auto drops_before = testbed.ap().ttl_drops();
   const auto served_before = testbed.server().requests_served();
   AcuteMon monitor(testbed.phone(), mt_config(10));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   // warm-up + every background packet died at the AP...
   EXPECT_EQ(testbed.ap().ttl_drops() - drops_before,
@@ -84,7 +84,7 @@ TEST(AcuteMon, PhoneNeverDozesDuringMeasurement) {
   const auto dozes_before = testbed.phone().station().doze_count();
   const auto sleeps_before = testbed.phone().bus().sleep_count();
   AcuteMon monitor(testbed.phone(), mt_config(30));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   EXPECT_EQ(testbed.phone().station().doze_count(), dozes_before);
   EXPECT_EQ(testbed.phone().bus().sleep_count(), sleeps_before);
@@ -94,7 +94,7 @@ TEST(AcuteMon, BackgroundStopsWithMeasurement) {
   Testbed testbed;
   testbed.settle(800_ms);
   AcuteMon monitor(testbed.phone(), mt_config(3));
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   const auto sent_at_finish = monitor.background_packets_sent();
   testbed.settle(1_s);
@@ -107,7 +107,7 @@ TEST(AcuteMon, DisabledBackgroundSendsNone) {
   AcuteMon::Options options;
   options.background_enabled = false;
   AcuteMon monitor(testbed.phone(), mt_config(5), options);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   EXPECT_EQ(monitor.background_packets_sent(), 0u);
   EXPECT_TRUE(monitor.warmup_sent());
@@ -121,7 +121,7 @@ TEST(AcuteMon, HttpProbeMethodWorks) {
   AcuteMon::Options options;
   options.method = AcuteMon::ProbeMethod::http;
   AcuteMon monitor(testbed.phone(), mt_config(5), options);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   for (const auto& probe : monitor.result().probes) {
     ASSERT_TRUE(probe.response.has_value());

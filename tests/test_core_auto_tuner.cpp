@@ -84,7 +84,7 @@ TEST(AutoTuner, TunedParametersHoldAnAggressivePhoneAwake) {
     // Sample the counter the instant the measurement completes: dozes
     // after the keep-alives stop are expected and irrelevant.
     std::uint64_t dozes_at_finish = 0;
-    monitor.start_measurement([&](const tools::ToolRun&) {
+    monitor.start([&](const tools::ToolRun&) {
       dozes_at_finish = testbed.phone().station().doze_count();
     });
     testbed.run_until_finished(monitor);

@@ -10,7 +10,8 @@
 // handshake order or name leases they do not hold, and shard_done payloads
 // that are not exactly one record of the sender's lease. The coordinator's
 // buffered FrameReader is driven through a scripted transport with chosen
-// recv chunk sizes.
+// recv chunk sizes; the hand-driven peers read through it too, as a worker
+// does.
 #include <gtest/gtest.h>
 #include <poll.h>
 
@@ -198,23 +199,48 @@ FabricRun run_fabric(const CampaignSpec& spec,
   return FabricRun{std::move(report), coordinator.stats()};
 }
 
+/// A frame copied out of a FrameReader (a FrameView dies at the next fill).
+struct Received {
+  FrameType type = FrameType::hello;
+  std::string payload;
+};
+
+/// A hand-driven peer's end of the wire: the transport it writes to and the
+/// one FrameReader that reads it for the whole conversation, as a worker
+/// does.
+struct Peer {
+  explicit Peer(Transport& end) : wire(end), reader(end) {}
+
+  /// Blocks for the next frame. False on clean end-of-stream at a frame
+  /// boundary; contract violation on a torn frame.
+  bool receive(Received& out) {
+    FrameView view;
+    if (!reader.read(view)) return false;
+    out = Received{view.type, std::string(view.payload)};
+    return true;
+  }
+
+  Transport& wire;
+  FrameReader reader;
+};
+
 /// A hand-driven peer's handshake: hello for `spec`, expect hello_ok.
-void say_hello(Transport& wire, const CampaignSpec& spec) {
+void say_hello(Peer& peer, const CampaignSpec& spec) {
   HelloBody hello;
   hello.spec_hash = spec.spec_hash();
   hello.seed = spec.seed;
   hello.shard_count = Campaign(spec).scenario_count();
-  write_frame(wire, FrameType::hello, encode_hello(hello));
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
+  write_frame(peer.wire, FrameType::hello, encode_hello(hello));
+  Received frame;
+  ASSERT_TRUE(peer.receive(frame));
   ASSERT_EQ(frame.type, FrameType::hello_ok);
 }
 
 /// A hand-driven peer's lease_request; the grant it gets back.
-LeaseGrantBody take_lease(Transport& wire) {
-  write_frame(wire, FrameType::lease_request);
-  Frame frame;
-  EXPECT_TRUE(read_frame(wire, frame));
+LeaseGrantBody take_lease(Peer& peer) {
+  write_frame(peer.wire, FrameType::lease_request);
+  Received frame;
+  EXPECT_TRUE(peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::lease_grant);
   return decode_lease_grant(frame.payload);
 }
@@ -411,11 +437,12 @@ TEST(Wire, BodiesAndFramesRoundTripOverThePipeTransport) {
   auto ends = transport_pair();
   write_frame(*ends.first, FrameType::hello, encode_hello(hello));
   write_frame(*ends.first, FrameType::lease_request);
-  Frame frame;
-  ASSERT_TRUE(read_frame(*ends.second, frame));
+  Peer peer(*ends.second);
+  Received frame;
+  ASSERT_TRUE(peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::hello);
   EXPECT_EQ(frame.payload, encode_hello(hello));
-  ASSERT_TRUE(read_frame(*ends.second, frame));
+  ASSERT_TRUE(peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::lease_request);
   EXPECT_TRUE(frame.payload.empty());
 }
@@ -447,10 +474,11 @@ TEST(Wire, CleanEofAtFrameBoundaryIsAQuietFalse) {
   auto ends = transport_pair();
   write_frame(*ends.first, FrameType::heartbeat, encode_lease_id(1));
   ends.first.reset();  // peer gone after a complete frame
-  Frame frame;
-  ASSERT_TRUE(read_frame(*ends.second, frame));
+  Peer peer(*ends.second);
+  Received frame;
+  ASSERT_TRUE(peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::heartbeat);
-  EXPECT_FALSE(read_frame(*ends.second, frame));
+  EXPECT_FALSE(peer.receive(frame));
 }
 
 TEST(Wire, TornFramesThrowLoudly) {
@@ -458,35 +486,35 @@ TEST(Wire, TornFramesThrowLoudly) {
                            const std::vector<unsigned char>& bytes) {
     transport.send_all(bytes.data(), bytes.size());
   };
-  Frame frame;
+  Received frame;
   {
     // EOF inside a frame: header promises 10 bytes, only 2 arrive.
     auto ends = transport_pair();
     send_raw(*ends.first, {10, 0, 0, 0, 6, 1});
     ends.first.reset();
-    EXPECT_THROW((void)read_frame(*ends.second, frame),
-                 sim::ContractViolation);
+    Peer peer(*ends.second);
+    EXPECT_THROW((void)peer.receive(frame), sim::ContractViolation);
   }
   {
     // Zero length: no room for even the type byte.
     auto ends = transport_pair();
     send_raw(*ends.first, {0, 0, 0, 0});
-    EXPECT_THROW((void)read_frame(*ends.second, frame),
-                 sim::ContractViolation);
+    Peer peer(*ends.second);
+    EXPECT_THROW((void)peer.receive(frame), sim::ContractViolation);
   }
   {
     // Oversize length: beyond kMaxFrameBytes is garbage, not data.
     auto ends = transport_pair();
     send_raw(*ends.first, {1, 0, 0, 0xff});
-    EXPECT_THROW((void)read_frame(*ends.second, frame),
-                 sim::ContractViolation);
+    Peer peer(*ends.second);
+    EXPECT_THROW((void)peer.receive(frame), sim::ContractViolation);
   }
   {
     // Unknown frame type.
     auto ends = transport_pair();
     send_raw(*ends.first, {1, 0, 0, 0, 99});
-    EXPECT_THROW((void)read_frame(*ends.second, frame),
-                 sim::ContractViolation);
+    Peer peer(*ends.second);
+    EXPECT_THROW((void)peer.receive(frame), sim::ContractViolation);
   }
 }
 
@@ -738,21 +766,22 @@ TEST(Fabric, DuplicateCompletionsFromTheReLeaseRaceAreTolerated) {
   });
 
   Transport& wire = *ends.second;
-  say_hello(wire, spec);
-  Frame frame;
+  Peer peer(wire);
+  say_hello(peer, spec);
+  Received frame;
 
   // Our writes race the coordinator's post-campaign close exactly as a real
   // worker's do (the campaign completes at OUR final shard_done): on a
   // failed send, a buffered shutdown frame means we are simply done.
   bool serving = true;
-  const auto send_checked = [&wire, &serving](FrameType type,
-                                              const std::string& payload) {
+  const auto send_checked = [&wire, &peer, &serving](
+                                  FrameType type, const std::string& payload) {
     try {
       write_frame(wire, type, payload);
     } catch (const sim::ContractViolation&) {
       serving = false;
-      Frame pending;
-      ASSERT_TRUE(read_frame(wire, pending));
+      Received pending;
+      ASSERT_TRUE(peer.receive(pending));
       ASSERT_EQ(pending.type, FrameType::shutdown);
     }
   };
@@ -761,7 +790,7 @@ TEST(Fabric, DuplicateCompletionsFromTheReLeaseRaceAreTolerated) {
   while (serving) {
     send_checked(FrameType::lease_request, {});
     if (!serving) break;
-    ASSERT_TRUE(read_frame(wire, frame));
+    ASSERT_TRUE(peer.receive(frame));
     switch (frame.type) {
       case FrameType::shutdown:
         serving = false;
@@ -872,10 +901,11 @@ TEST(Fabric, SecondHelloBuriesThePeer) {
   const CampaignReport report = coordinator.run(std::move(ends));
   good_thread.join();
 
-  Frame frame;
-  ASSERT_TRUE(read_frame(*raw.second, frame));
+  Peer raw_peer(*raw.second);
+  Received frame;
+  ASSERT_TRUE(raw_peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::hello_ok);
-  EXPECT_FALSE(read_frame(*raw.second, frame));  // buried: closed
+  EXPECT_FALSE(raw_peer.receive(frame));  // buried: closed
   EXPECT_EQ(coordinator.stats().workers_joined, 2u);
   EXPECT_NE(log.str().find("out of handshake order"), std::string::npos);
   expect_reports_bit_identical(report, Campaign(small_spec()).run(1));
@@ -909,10 +939,12 @@ TEST(Fabric, ForeignHeartbeatBuriesThePeerAndExtendsNoLease) {
     merged = coordinator.run(std::move(workers));
   });
 
-  say_hello(*holder.second, spec);
-  const LeaseGrantBody held = take_lease(*holder.second);
-  say_hello(*intruder.second, spec);
-  (void)take_lease(*intruder.second);
+  Peer holder_peer(*holder.second);
+  Peer intruder_peer(*intruder.second);
+  say_hello(holder_peer, spec);
+  const LeaseGrantBody held = take_lease(holder_peer);
+  say_hello(intruder_peer, spec);
+  (void)take_lease(intruder_peer);
   write_frame(*intruder.second, FrameType::heartbeat,
               encode_lease_id(held.lease_id));
 
@@ -920,13 +952,13 @@ TEST(Fabric, ForeignHeartbeatBuriesThePeerAndExtendsNoLease) {
     Worker worker(spec);
     (void)worker.run(*end);
   });
-  Frame frame;
-  ASSERT_TRUE(read_frame(*holder.second, frame));
+  Received frame;
+  ASSERT_TRUE(holder_peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::shutdown);
   coordinator_thread.join();
   good_thread.join();
 
-  EXPECT_FALSE(read_frame(*intruder.second, frame));  // buried: closed
+  EXPECT_FALSE(intruder_peer.receive(frame));  // buried: closed
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(coordinator.stats().workers_died, 1u);
   EXPECT_GE(coordinator.stats().leases_expired, 1u);
@@ -965,10 +997,12 @@ TEST(Fabric, ForeignLeaseDoneBuriesThePeerAndReQueuesNothing) {
     merged = coordinator.run(std::move(workers));
   });
 
-  say_hello(*holder.second, spec);
-  const LeaseGrantBody held = take_lease(*holder.second);
-  say_hello(*intruder.second, spec);
-  (void)take_lease(*intruder.second);
+  Peer holder_peer(*holder.second);
+  Peer intruder_peer(*intruder.second);
+  say_hello(holder_peer, spec);
+  const LeaseGrantBody held = take_lease(holder_peer);
+  say_hello(intruder_peer, spec);
+  (void)take_lease(intruder_peer);
   write_frame(*intruder.second, FrameType::lease_done,
               encode_lease_id(held.lease_id));
 
@@ -985,13 +1019,13 @@ TEST(Fabric, ForeignLeaseDoneBuriesThePeerAndReQueuesNothing) {
                 encode_shard_done(ShardDoneBody{
                     held.lease_id, record_line(campaign, index)}));
   }
-  Frame frame;
-  ASSERT_TRUE(read_frame(*holder.second, frame));
+  Received frame;
+  ASSERT_TRUE(holder_peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::shutdown);
   coordinator_thread.join();
   good_thread.join();
 
-  EXPECT_FALSE(read_frame(*intruder.second, frame));  // buried: closed
+  EXPECT_FALSE(intruder_peer.receive(frame));  // buried: closed
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(coordinator.stats().duplicate_shards, 0u);
   EXPECT_EQ(coordinator.stats().shards_merged, campaign.scenario_count());
@@ -1067,8 +1101,9 @@ TEST(Fabric, HostileShardDoneBuriesThePeerAndAppendsNothing) {
           workers.push_back(std::move(b));
           merged = coordinator.run(std::move(workers));
         });
-    say_hello(*evil.second, spec);
-    const LeaseGrantBody lease = take_lease(*evil.second);
+    Peer evil_peer(*evil.second);
+    say_hello(evil_peer, spec);
+    const LeaseGrantBody lease = take_lease(evil_peer);
     ASSERT_EQ(lease.begin, 0u);
     write_frame(*evil.second, FrameType::shard_done,
                 encode_shard_done(ShardDoneBody{
@@ -1080,8 +1115,8 @@ TEST(Fabric, HostileShardDoneBuriesThePeerAndAppendsNothing) {
     coordinator_thread.join();
     good_thread.join();
 
-    Frame frame;
-    EXPECT_FALSE(read_frame(*evil.second, frame));  // buried: closed
+    Received frame;
+    EXPECT_FALSE(evil_peer.receive(frame));  // buried: closed
     ASSERT_TRUE(merged.has_value());
     EXPECT_EQ(coordinator.stats().workers_died, 1u);
     EXPECT_EQ(coordinator.stats().duplicate_shards, 0u);
@@ -1141,8 +1176,9 @@ TEST(Fabric, TornFrameBuriesTheWorkerAndItsWorkIsReLeased) {
 
   // Evil handshakes correctly and takes a lease first...
   Transport& wire = *evil.second;
-  say_hello(wire, spec);
-  (void)take_lease(wire);
+  Peer peer(wire);
+  say_hello(peer, spec);
+  (void)take_lease(peer);
   // ...then emits a frame with an unknown type byte.
   const unsigned char garbage[] = {1, 0, 0, 0, 99};
   wire.send_all(garbage, sizeof garbage);
@@ -1188,17 +1224,17 @@ TEST(Fabric, HeartbeatExpiryReLeasesAStalledRange) {
 
   // The stalling worker joins and takes a lease before the healthy worker
   // exists, so the stall provably covers real work...
-  Transport& wire = *stalled.second;
-  say_hello(wire, spec);
-  (void)take_lease(wire);
+  Peer peer(*stalled.second);
+  say_hello(peer, spec);
+  (void)take_lease(peer);
 
   // ...then goes silent until shutdown.
   std::thread good_thread([end = std::move(good.second), spec]() mutable {
     Worker worker(spec);
     (void)worker.run(*end);
   });
-  Frame frame;
-  ASSERT_TRUE(read_frame(wire, frame));
+  Received frame;
+  ASSERT_TRUE(peer.receive(frame));
   EXPECT_EQ(frame.type, FrameType::shutdown);
   coordinator_thread.join();
   good_thread.join();

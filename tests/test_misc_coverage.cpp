@@ -108,7 +108,7 @@ TEST(FailureInjection, AcuteMonSurvivesPacketLoss) {
   mt.timeout = 300_ms;
   mt.target = testbed::Testbed::kServerId;
   core::AcuteMon monitor(testbed.phone(), mt);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
 
   // Losses are recorded as timeouts, the rest measure normally.
@@ -130,7 +130,7 @@ TEST(FailureInjection, AcuteMonAllProbesLost) {
   mt.target = testbed::Testbed::kServerId;
   core::AcuteMon monitor(testbed.phone(), mt);
   bool done = false;
-  monitor.start_measurement([&](const tools::ToolRun&) { done = true; });
+  monitor.start([&](const tools::ToolRun&) { done = true; });
   testbed.run_until_finished(monitor);
   EXPECT_TRUE(done);  // completes via timeouts, never hangs
   EXPECT_GE(monitor.result().loss_count(), 6u);
@@ -148,7 +148,7 @@ TEST(FailureInjection, LateResponsesAfterTimeoutAreIgnored) {
   mt.timeout = 50_ms;
   mt.target = testbed::Testbed::kServerId;
   core::AcuteMon monitor(testbed.phone(), mt);
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
   testbed.settle(1_s);  // let the stragglers arrive
   EXPECT_EQ(monitor.result().probes.size(), 10u);

@@ -594,9 +594,9 @@ TEST(JsonlReorder, AbandonedSequenceDoesNotStallTheWindow) {
 
 TEST(JsonlReorder, SequenceRestartBeginsANewInvocation) {
   // A writer reused across Campaign::run invocations (incremental resume
-  // ticks) sees run sequences restart at zero. reset_sequence() starts the
-  // new epoch explicitly; a submit below the release point (here: the
-  // out-of-order 1 before 0) is also auto-detected as a restart.
+  // ticks) sees run sequences restart at zero. reset_sequence() is the only
+  // way to start the new epoch: a submit below the release point without
+  // it is a contract violation, not a guessed restart.
   TempFile file("jsonl_epoch");
   {
     JsonlWriter writer(file.path, /*append=*/false, /*window=*/4);
@@ -606,13 +606,20 @@ TEST(JsonlReorder, SequenceRestartBeginsANewInvocation) {
     writer.submit_block(1, "tick2-b\n");
     writer.submit_block(0, "tick2-a\n");
     writer.submit_block(2, "tick2-c\n");
-    writer.submit_block(0, "tick3-a\n");  // auto-detected restart
+    EXPECT_THROW(writer.submit_block(0, "tick3-a\n"), sim::ContractViolation);
+    // Worker skew: the next invocation's sequence 2 finishes first. After
+    // the reset it is held behind 0 and 1 instead of written at once.
+    writer.reset_sequence();
+    writer.submit_block(2, "tick3-c\n");
+    writer.submit_block(0, "tick3-a\n");
+    writer.submit_block(1, "tick3-b\n");
   }
   std::ifstream in(file.path);
   std::stringstream buffer;
   buffer << in.rdbuf();
   EXPECT_EQ(buffer.str(),
-            "tick1-a\ntick1-b\ntick2-a\ntick2-b\ntick2-c\ntick3-a\n");
+            "tick1-a\ntick1-b\ntick2-a\ntick2-b\ntick2-c\n"
+            "tick3-a\ntick3-b\ntick3-c\n");
 }
 
 TEST(DigestSinkTest, FoldsEventsLikeTheLegacyPath) {

@@ -1,10 +1,11 @@
 // The allocation-free event core, pinned by a counting global allocator:
 // steady-state schedule_at/schedule_in/cancel/fire must perform ZERO heap
 // allocations per event — closures live in EventClosure's inline buffer
-// inside the pooled slots, cancel state is {slot, generation} (no
-// shared_ptr), and oversized closures recycle through the per-queue
-// ClosureArena. These tests replace operator new for the whole binary and
-// diff the counter across a measured steady-state window.
+// inside the pooled slots and cancel state is {slot, generation} (no
+// shared_ptr). These tests replace operator new for the whole binary and
+// diff the counter across a measured steady-state window. An oversized
+// closure has no storage to spill to: compile-time checks below pin that
+// EventClosure, EventQueue::push and Simulator::schedule_* reject it.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +13,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 #include "net/packet.hpp"
 #include "sim/closure.hpp"
@@ -80,7 +83,7 @@ using namespace acute::sim::literals;
 // The inline buffer must cover the fattest closures the stack layers
 // schedule: a lambda owning a whole wifi::Frame (which embeds a
 // net::Packet) plus a couple of pointers. Compile-time, so a Packet growth
-// that would silently push scheduling onto the arena fails here first.
+// that would stop the layers' closures from compiling fails here first.
 static_assert(EventClosure::kInlineBytes >=
                   sizeof(wifi::Frame) + 2 * sizeof(void*),
               "EventClosure inline buffer no longer covers a Frame capture");
@@ -96,8 +99,13 @@ TEST(EventClosure, PacketAndFrameCapturesAreStoredInline) {
       mutable { (void)f; (void)extra; };
   static_assert(EventClosure::fits_inline<decltype(packet_fn)>);
   static_assert(EventClosure::fits_inline<decltype(frame_fn)>);
+  const std::size_t allocations_before = g_heap_allocations;
   EventClosure closure(std::move(frame_fn));
-  EXPECT_TRUE(closure.stored_inline());
+  EventClosure moved(std::move(closure));
+  moved();
+  moved.reset();
+  EXPECT_EQ(g_heap_allocations, allocations_before);
+  EXPECT_FALSE(static_cast<bool>(moved));
 }
 
 // A probe-like event: carries a Packet-sized payload, re-arms a timeout
@@ -144,37 +152,49 @@ TEST(EventCoreAllocation, SteadyStateSchedulingIsAllocationFree) {
   EXPECT_EQ(g_heap_allocations, allocations_mid);
 }
 
-// A deliberately oversized capture: must overflow the inline buffer and
-// recycle through the per-queue ClosureArena instead of the global heap.
+// A deliberately oversized capture. It has no storage to go to, so every
+// way of scheduling it must fail to compile.
 struct OversizedChain {
-  Simulator* sim;
-  int* remaining;
   std::array<unsigned char, EventClosure::kInlineBytes + 128> blob{};
-
-  void operator()() {
-    if (--*remaining <= 0) return;
-    sim->schedule_in(10_us, OversizedChain{sim, remaining, blob});
-  }
+  void operator()() {}
 };
 static_assert(!EventClosure::fits_inline<OversizedChain>);
 
-TEST(EventCoreAllocation, OversizedClosuresRecycleThroughArena) {
-  Simulator sim;
-  int remaining = 2000;
-  sim.schedule_in(10_us, OversizedChain{&sim, &remaining, {}});
-  while (remaining > 1000 && sim.step()) {
-  }
-  ASSERT_GT(remaining, 0);
+// Over-aligned, and a throwing move: both would need storage beyond the
+// inline buffer's guarantees.
+struct alignas(2 * EventClosure::kInlineAlign) OverAligned {
+  void operator()() {}
+};
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(ThrowingMove&&) noexcept(false) {}
+  void operator()() {}
+};
 
-  const std::size_t allocations_before = g_heap_allocations;
-  const std::uint64_t fresh_before = sim.queue().arena().fresh_blocks();
-  const std::uint64_t recycled_before = sim.queue().arena().recycled_blocks();
-  (void)sim.run();
-  EXPECT_EQ(g_heap_allocations, allocations_before)
-      << "oversized closures must recycle via the arena, not operator new";
-  EXPECT_EQ(sim.queue().arena().fresh_blocks(), fresh_before);
-  EXPECT_GT(sim.queue().arena().recycled_blocks(), recycled_before);
-}
+// True when EventQueue::push / Simulator::schedule_in accept an F.
+template <typename F>
+constexpr bool pushable = requires(EventQueue& queue, F fn) {
+  queue.push(TimePoint{}, std::move(fn));
+};
+template <typename F>
+constexpr bool schedulable = requires(Simulator& sim, F fn) {
+  sim.schedule_in(Duration{}, std::move(fn));
+  sim.schedule_at(TimePoint{}, std::move(fn));
+};
+
+static_assert(std::is_constructible_v<EventClosure, ProbeChain>);
+static_assert(pushable<ProbeChain> && schedulable<ProbeChain>);
+static_assert(!std::is_constructible_v<EventClosure, OversizedChain>);
+static_assert(!pushable<OversizedChain> && !schedulable<OversizedChain>);
+static_assert(!std::is_constructible_v<EventClosure, OverAligned>);
+static_assert(!pushable<OverAligned> && !schedulable<OverAligned>);
+static_assert(!std::is_constructible_v<EventClosure, ThrowingMove>);
+static_assert(!pushable<ThrowingMove> && !schedulable<ThrowingMove>);
+// Only a callable is scheduled: a pre-built (possibly empty) closure has no
+// overload, so an empty EventFn is rejected at compile time.
+static_assert(!pushable<EventFn> && !schedulable<EventFn>);
+static_assert(!pushable<int> && !schedulable<int>);
+static_assert(pushable<void (*)()> && schedulable<void (*)()>);
 
 TEST(EventCoreAllocation, CancelIsAllocationFree) {
   Simulator sim;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 #include <vector>
@@ -16,13 +17,24 @@ TimePoint at(std::int64_t ms) {
   return TimePoint::epoch() + Duration::millis(ms);
 }
 
+// Fires the earliest live event in place; false when none is left.
+bool fire(EventQueue& queue) { return queue.fire_one([](TimePoint) {}); }
+
+// Fires every live event; returns their fire times in firing order.
+std::vector<TimePoint> drain(EventQueue& queue) {
+  std::vector<TimePoint> times;
+  while (queue.fire_one([&](TimePoint when) { times.push_back(when); })) {
+  }
+  return times;
+}
+
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue queue;
   std::vector<int> order;
   (void)queue.push(at(30), [&] { order.push_back(3); });
   (void)queue.push(at(10), [&] { order.push_back(1); });
   (void)queue.push(at(20), [&] { order.push_back(2); });
-  while (!queue.empty()) queue.pop().fn();
+  (void)drain(queue);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -32,7 +44,7 @@ TEST(EventQueue, TiesFireInInsertionOrder) {
   for (int i = 0; i < 8; ++i) {
     (void)queue.push(at(5), [&order, i] { order.push_back(i); });
   }
-  while (!queue.empty()) queue.pop().fn();
+  (void)drain(queue);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
@@ -45,7 +57,7 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(queue.size(), 2u);
   h1.cancel();
   EXPECT_EQ(queue.size(), 1u);
-  (void)queue.pop();
+  EXPECT_TRUE(fire(queue));
   EXPECT_TRUE(queue.empty());
   (void)h2;
 }
@@ -56,7 +68,7 @@ TEST(EventQueue, CancelledEventsAreSkipped) {
   auto h1 = queue.push(at(1), [&] { order.push_back(1); });
   (void)queue.push(at(2), [&] { order.push_back(2); });
   h1.cancel();
-  while (!queue.empty()) queue.pop().fn();
+  (void)drain(queue);
   EXPECT_EQ(order, (std::vector<int>{2}));
 }
 
@@ -79,7 +91,7 @@ TEST(EventQueue, HandlePendingReflectsState) {
 TEST(EventQueue, HandleOfFiredEventIsNotPending) {
   EventQueue queue;
   auto handle = queue.push(at(1), [] {});
-  (void)queue.pop();
+  EXPECT_TRUE(fire(queue));
   EXPECT_FALSE(handle.pending());
   handle.cancel();  // harmless after firing
   EXPECT_TRUE(queue.empty());
@@ -107,13 +119,13 @@ TEST(EventQueue, StaleHandleCannotCancelSlotReuse) {
   EventQueue queue;
   int fired = 0;
   auto h1 = queue.push(at(1), [&] { ++fired; });
-  queue.pop().fn();  // fires event 1 and frees its slot
+  EXPECT_TRUE(fire(queue));  // fires event 1 and frees its slot
   auto h2 = queue.push(at(2), [&] { ++fired; });
   h1.cancel();  // generation mismatch: must be a no-op
   EXPECT_FALSE(h1.pending());
   EXPECT_TRUE(h2.pending());
   ASSERT_EQ(queue.size(), 1u);
-  queue.pop().fn();
+  EXPECT_TRUE(fire(queue));
   EXPECT_EQ(fired, 2);
 }
 
@@ -127,7 +139,7 @@ TEST(EventQueue, StaleHandleAfterCancelCannotTouchReusedSlot) {
   auto h2 = queue.push(at(2), [&] { ++fired; });
   h1.cancel();  // double-stale: already cancelled AND the slot moved on
   EXPECT_TRUE(h2.pending());
-  while (!queue.empty()) queue.pop().fn();
+  (void)drain(queue);
   EXPECT_EQ(fired, 1);
 }
 
@@ -153,7 +165,7 @@ TEST(EventQueue, SizeIsPlainCountAcrossCancelPopAndCompaction) {
   EXPECT_EQ(queue.size(), 200u);
   for (int i = 0; i < 200; i += 2) handles[i].cancel();
   EXPECT_EQ(queue.size(), 100u);
-  for (int i = 0; i < 50; ++i) (void)queue.pop();
+  for (int i = 0; i < 50; ++i) EXPECT_TRUE(fire(queue));
   EXPECT_EQ(queue.size(), 50u);
   // Force the compaction threshold (cancelled >= live, >= 64 entries).
   for (int i = 1; i < 200; i += 2) handles[i].cancel();
@@ -164,13 +176,15 @@ TEST(EventQueue, SizeIsPlainCountAcrossCancelPopAndCompaction) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, NextTimeReportsEarliestLive) {
+TEST(EventQueue, FireOneReportsEarliestLiveTime) {
   EventQueue queue;
   auto h1 = queue.push(at(1), [] {});
   (void)queue.push(at(5), [] {});
-  EXPECT_EQ(queue.next_time(), at(1));
+  (void)queue.push(at(7), [] {});
   h1.cancel();
-  EXPECT_EQ(queue.next_time(), at(5));
+  TimePoint fired_at;
+  EXPECT_TRUE(queue.fire_one([&](TimePoint when) { fired_at = when; }));
+  EXPECT_EQ(fired_at, at(5));
 }
 
 TEST(EventQueue, ClearDropsEverything) {
@@ -182,15 +196,12 @@ TEST(EventQueue, ClearDropsEverything) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(EventQueue, PopOnEmptyViolatesContract) {
+TEST(EventQueue, FireOnEmptyQueueFiresNothing) {
   EventQueue queue;
-  EXPECT_THROW((void)queue.pop(), ContractViolation);
-  EXPECT_THROW((void)queue.next_time(), ContractViolation);
-}
-
-TEST(EventQueue, PushRequiresCallable) {
-  EventQueue queue;
-  EXPECT_THROW((void)queue.push(at(1), EventFn{}), ContractViolation);
+  bool called = false;
+  EXPECT_FALSE(queue.fire_one([&](TimePoint) { called = true; }));
+  EXPECT_FALSE(queue.fire_one_before(at(1), [&](TimePoint) { called = true; }));
+  EXPECT_FALSE(called);
 }
 
 TEST(EventQueue, NullFunctionPointerRejectedAtPush) {
@@ -233,17 +244,10 @@ TEST(EventQueue, CompactsWhenCancelledEventsDominate) {
   EXPECT_GE(queue.compactions(), 1u);
   EXPECT_LE(queue.heap_entries(), 2 * queue.size() + EventQueue::kCompactMinEntries);
 
-  // Behaviour is unchanged: survivors pop in time order.
-  std::int64_t last = -1;
-  std::size_t fired = 0;
-  while (!queue.empty()) {
-    const auto event = queue.pop();
-    const std::int64_t ms = (event.when - TimePoint::epoch()).count_nanos();
-    EXPECT_GE(ms, last);
-    last = ms;
-    ++fired;
-  }
-  EXPECT_EQ(fired, kEvents / 16 + 1);
+  // Behaviour is unchanged: survivors fire in time order.
+  const std::vector<TimePoint> times = drain(queue);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  EXPECT_EQ(times.size(), static_cast<std::size_t>(kEvents / 16 + 1));
 }
 
 TEST(EventQueue, SmallQueuesNeverCompact) {

@@ -106,7 +106,7 @@ TEST(Simulator, HandleOutlivingSimulatorIsSafe) {
     handle = sim.schedule_in(10_ms, [] {});
     EXPECT_TRUE(handle.pending());
   }
-  // The simulator (and its queue, slot pool and arena) are gone; the handle
+  // The simulator (and its queue and slot pool) are gone; the handle
   // must report not-pending and cancel must be inert.
   EXPECT_FALSE(handle.pending());
   handle.cancel();

@@ -196,7 +196,7 @@ TEST(Testbed, SnifferDnAgreesWithStampDn) {
     c.target = Testbed::kServerId;
     return c;
   }());
-  monitor.start_measurement();
+  monitor.start();
   testbed.run_until_finished(monitor);
 
   for (const auto& probe : monitor.result().probes) {

@@ -194,8 +194,6 @@ TEST(MeasurementTool, StartGuardCoversRichLaunchProtocols) {
   core::AcuteMon monitor(testbed.phone(), tool_config(2, 10_ms));
   monitor.start();
   EXPECT_THROW(monitor.start(), sim::ContractViolation);
-  // The historical spelling shares the same guard.
-  EXPECT_THROW(monitor.start_measurement(), sim::ContractViolation);
   testbed.run_until_finished(monitor);
   EXPECT_TRUE(monitor.finished());
   EXPECT_EQ(monitor.result().probes.size(), 2u);
