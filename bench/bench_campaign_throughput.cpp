@@ -483,7 +483,12 @@ PassiveOverhead run_passive_overhead(std::size_t workers) {
   const auto build_spec = [](passive::PassiveVantage vantage) {
     testbed::ScenarioGrid grid;
     grid.phone_counts = {1, 2};
-    grid.emulated_rtts = {Duration::millis(10), Duration::millis(30)};
+    grid.profiles = {phone::PhoneProfile::nexus5(),
+                     phone::PhoneProfile::nexus4()};
+    grid.emulated_rtts.clear();
+    for (int ms = 10; ms <= 50; ms += 5) {
+      grid.emulated_rtts.push_back(Duration::millis(ms));
+    }
     grid.cross_traffic = {false, true};
     testbed::WorkloadSpec workload;
     workload.tool = tools::ToolKind::httping;  // TCP: the sniffer works
@@ -491,9 +496,11 @@ PassiveOverhead run_passive_overhead(std::size_t workers) {
     grid.workloads = {workload};
     testbed::CampaignSpec spec;
     spec.seed = 42;
+    // 72 shards of 200 probes per phone: enough shards that the matrix
+    // workers stay balanced, and enough work that each side runs for
+    // ~0.5 s or more of wall time. Eight shards (~60 ms a side at 4
+    // workers) left the run-to-run noise far above a 5% budget.
     spec.scenarios = grid.expand();
-    // Large enough that each side runs ~0.5 s of wall: at the matrix's
-    // ~70 ms scale the rung's run-to-run noise dwarfs a 5% budget.
     spec.probes_per_phone = 200;
     spec.probe_interval = Duration::millis(100);
     spec.keep_samples = false;

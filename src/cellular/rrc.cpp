@@ -21,10 +21,9 @@ const char* to_string(RrcState state) {
 }
 
 RrcMachine::RrcMachine(sim::Simulator& sim, sim::Rng rng, RrcConfig config)
-    : sim_(&sim),
-      rng_(std::move(rng)),
-      config_(config),
-      demotion_timer_(sim, [this] { demote(); }) {}
+    : sim_(&sim), demotion_timer_(sim, [this] { demote(); }) {
+  reset(std::move(rng), config);
+}
 
 Duration RrcMachine::sample_promotion(Duration mean) {
   const Duration jitter = rng_.uniform_duration(-config_.promotion_jitter,

@@ -66,8 +66,7 @@ class RrcMachine {
   RrcMachine(const RrcMachine&) = delete;
   RrcMachine& operator=(const RrcMachine&) = delete;
 
-  /// Returns the machine to the state the constructor would leave it in
-  /// with these arguments (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): idle, no demotion pending.
   void reset(sim::Rng rng, RrcConfig config) {
     rng_ = std::move(rng);
     config_ = config;

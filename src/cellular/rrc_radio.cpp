@@ -10,7 +10,9 @@ using sim::Duration;
 using sim::expects;
 
 RrcRadioLayer::RrcRadioLayer(sim::Simulator& sim, RrcMachine& rrc)
-    : sim_(&sim), rrc_(&rrc) {}
+    : sim_(&sim) {
+  reset(rrc);
+}
 
 void RrcRadioLayer::transmit(net::Packet&& packet) {
   expects(static_cast<bool>(egress_),

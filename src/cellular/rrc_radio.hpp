@@ -31,9 +31,8 @@ class RrcRadioLayer : public stack::StackLayer {
 
   void set_egress(EgressFn egress) { egress_ = std::move(egress); }
 
-  /// Returns the layer to the state the constructor would leave it in with
-  /// this RRC machine; the egress hand-off is cleared — the gateway re-sets
-  /// it on attach (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp). The egress hand-off is
+  /// cleared; the gateway re-sets it on attach.
   void reset(RrcMachine& rrc) {
     rrc_ = &rrc;
     egress_ = nullptr;
@@ -56,7 +55,7 @@ class RrcRadioLayer : public stack::StackLayer {
 
  private:
   sim::Simulator* sim_;
-  RrcMachine* rrc_;
+  RrcMachine* rrc_ = nullptr;
   EgressFn egress_;
   std::uint64_t uplink_ = 0;
   std::uint64_t downlink_ = 0;

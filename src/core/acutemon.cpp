@@ -12,32 +12,25 @@ using net::Protocol;
 using sim::Duration;
 using sim::expects;
 
-namespace {
-tools::MeasurementTool::Config sequential(tools::MeasurementTool::Config c) {
-  // MT sends each probe as soon as the previous exchange completes.
-  c.sequential = true;
-  c.interval = Duration{};
-  return c;
-}
-}  // namespace
-
 AcuteMon::AcuteMon(phone::Smartphone& phone, Config config)
     : AcuteMon(phone, config, Options{}) {}
 
 AcuteMon::AcuteMon(phone::Smartphone& phone, Config config, Options options)
-    : MeasurementTool(phone, sequential(config)),
+    : MeasurementTool(phone, /*sequential_only=*/true),
       options_(options),
-      background_timer_(phone.simulator(), options.background_interval,
+      background_timer_(phone.simulator(),
                         [this](std::uint64_t) { send_background(); }) {
   expects(options.warmup_lead > Duration{},
           "AcuteMon warm-up lead must be positive");
   expects(options.background_interval > Duration{},
           "AcuteMon background interval must be positive");
-  background_flow_ = phone.allocate_flow_id();
+  reinitialize(config);
 }
 
 void AcuteMon::reinitialize(Config config) {
-  MeasurementTool::reinitialize(sequential(std::move(config)));
+  // MT sends each probe as soon as the previous exchange completes.
+  config.interval = Duration{};
+  MeasurementTool::reinitialize(config);
   background_timer_.reset(options_.background_interval);
   background_sent_ = 0;
   warmup_sent_ = false;

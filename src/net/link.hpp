@@ -20,9 +20,8 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Returns the link to the state the constructor would leave it in with
-  /// these arguments (shard-context reuse contract; endpoints or parameters
-  /// may differ from the original construction).
+  /// The one setup path (sim/resettable.hpp); endpoints and parameters may
+  /// differ from the previous scenario's.
   void reset(Node& a, Node& b, sim::Duration propagation,
              double bandwidth_bps);
 
@@ -49,10 +48,10 @@ class Link {
   Direction& direction_from(NodeId from);
 
   sim::Simulator* sim_;
-  Node* a_;
-  Node* b_;
+  Node* a_ = nullptr;
+  Node* b_ = nullptr;
   sim::Duration propagation_;
-  double bandwidth_bps_;
+  double bandwidth_bps_ = 0;
   Direction a_to_b_;
   Direction b_to_a_;
   std::uint64_t delivered_count_ = 0;

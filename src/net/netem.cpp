@@ -12,8 +12,8 @@ using sim::expects;
 using sim::TimePoint;
 
 NetemQdisc::NetemQdisc(sim::Simulator& sim, sim::Rng rng, ForwardFn forward)
-    : sim_(&sim), rng_(std::move(rng)), forward_(std::move(forward)) {
-  expects(static_cast<bool>(forward_), "NetemQdisc requires a forward hook");
+    : sim_(&sim) {
+  reset(std::move(rng), std::move(forward));
 }
 
 void NetemQdisc::set_loss(double probability) {

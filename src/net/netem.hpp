@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "net/packet.hpp"
+#include "sim/contracts.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -25,10 +26,13 @@ class NetemQdisc {
   NetemQdisc(const NetemQdisc&) = delete;
   NetemQdisc& operator=(const NetemQdisc&) = delete;
 
-  /// Returns the qdisc to the state the constructor would leave it in with
-  /// this rng stream; the forward fn is kept (shard-context reuse contract).
-  void reset(sim::Rng rng) {
+  /// The one setup path (sim/resettable.hpp): no delay, jitter or loss;
+  /// reorder prevented. Requires a forward hook.
+  void reset(sim::Rng rng, ForwardFn forward) {
+    sim::expects(static_cast<bool>(forward),
+                 "NetemQdisc requires a forward hook");
     rng_ = std::move(rng);
+    forward_ = std::move(forward);
     base_ = sim::Duration{};
     jitter_ = sim::Duration{};
     prevent_reorder_ = true;

@@ -9,24 +9,25 @@ namespace acute::net {
 using sim::Duration;
 using sim::expects;
 
+namespace {
+// Mean request service time: the paper cites microsecond-level server-side
+// processing for TCP probes [24].
+constexpr Duration kServiceMean = Duration::micros(40);
+}  // namespace
+
 EchoServer::EchoServer(sim::Simulator& sim, sim::Rng rng, NodeId id)
-    : sim_(&sim),
-      rng_(std::move(rng)),
-      id_(id),
-      netem_(sim, rng_.fork("netem"),
-             [this](Packet pkt) {
-               expects(link_ != nullptr,
-                       "EchoServer link not attached before traffic");
-               link_->send(id_, std::move(pkt));
-             }),
-      http_size_(packet_size::http_response) {}
+    : sim_(&sim) {
+  reset(std::move(rng), id);
+}
 
 void EchoServer::reset(sim::Rng rng, NodeId id) {
   rng_ = std::move(rng);
   id_ = id;
   link_ = nullptr;
-  netem_.reset(rng_.fork("netem"));
-  service_mean_ = Duration::micros(40);
+  sim::place(netem_, std::tie(*sim_), rng_.fork("netem"), [this](Packet pkt) {
+    expects(link_ != nullptr, "EchoServer link not attached before traffic");
+    link_->send(id_, std::move(pkt));
+  });
   tcp_port_closed_ = false;
   observer_ = nullptr;
   http_size_ = packet_size::http_response;
@@ -74,9 +75,9 @@ void EchoServer::respond(const Packet& request) {
   ++requests_served_;
   // Kernel service time, then out through the netem-shaped egress.
   const Duration service =
-      Duration::seconds(rng_.exponential(service_mean_.to_seconds()));
+      Duration::seconds(rng_.exponential(kServiceMean.to_seconds()));
   sim_->schedule_in(service, [this, resp = std::move(*response)]() mutable {
-    netem_.enqueue(std::move(resp));
+    netem_->enqueue(std::move(resp));
   });
 }
 

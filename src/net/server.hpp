@@ -11,6 +11,7 @@
 #include "net/netem.hpp"
 #include "net/node.hpp"
 #include "sim/random.hpp"
+#include "sim/resettable.hpp"
 #include "sim/simulator.hpp"
 
 namespace acute::net {
@@ -25,10 +26,9 @@ class EchoServer : public Node {
  public:
   EchoServer(sim::Simulator& sim, sim::Rng rng, NodeId id);
 
-  /// Returns the server to the state the constructor would leave it in
-  /// with these arguments (same "netem" rng sub-fork). The shared HTTP body
-  /// buffer is kept — it is rebuilt lazily only when the configured size
-  /// changes, exactly as on the fresh path (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): places the netem qdisc on
+  /// the "netem" rng sub-fork. The shared HTTP body buffer is kept; it is
+  /// rebuilt lazily only when the configured size changes.
   void reset(sim::Rng rng, NodeId id);
 
   /// Connects the server's NIC. Must be called exactly once before traffic.
@@ -38,11 +38,7 @@ class EchoServer : public Node {
   [[nodiscard]] NodeId id() const override { return id_; }
 
   /// The emulated extra delay on the server's egress (tc netem).
-  [[nodiscard]] NetemQdisc& netem() { return netem_; }
-
-  /// Mean request service time (defaults to 40 us — the paper cites
-  /// microsecond-level server-side processing for TCP probes [24]).
-  void set_service_time(sim::Duration mean) { service_mean_ = mean; }
+  [[nodiscard]] NetemQdisc& netem() { return *netem_; }
 
   /// When true, TCP SYNs are answered with RST instead of SYN-ACK
   /// (emulates probing a closed port, as MobiPerf's InetAddress does).
@@ -50,7 +46,7 @@ class EchoServer : public Node {
 
   /// Server-side measurement support (ping2 [34] runs *on* the server):
   /// originates a packet through the netem-shaped egress...
-  void originate(Packet&& packet) { netem_.enqueue(std::move(packet)); }
+  void originate(Packet&& packet) { netem_->enqueue(std::move(packet)); }
   /// ...and observes otherwise-unhandled inbound packets (echo replies).
   using ObserverFn = std::function<void(const Packet&)>;
   void set_packet_observer(ObserverFn observer) {
@@ -69,13 +65,12 @@ class EchoServer : public Node {
 
   sim::Simulator* sim_;
   sim::Rng rng_;
-  NodeId id_;
+  NodeId id_ = 0;
   Link* link_ = nullptr;
-  NetemQdisc netem_;
-  sim::Duration service_mean_ = sim::Duration::micros(40);
+  std::optional<NetemQdisc> netem_;
   bool tcp_port_closed_ = false;
   ObserverFn observer_;
-  std::uint32_t http_size_;
+  std::uint32_t http_size_ = 0;
   /// Shared immutable HTTP body attached to every http_response.
   PayloadBuffer http_body_;
   std::uint64_t requests_served_ = 0;
@@ -85,10 +80,9 @@ class EchoServer : public Node {
 /// an iPerf server on it).
 class UdpSink : public Node {
  public:
-  UdpSink(sim::Simulator& sim, NodeId id) : sim_(&sim), id_(id) {}
+  UdpSink(sim::Simulator& sim, NodeId id) : sim_(&sim) { reset(id); }
 
-  /// Returns the sink to its freshly-constructed state (shard-context
-  /// reuse contract).
+  /// The one setup path (sim/resettable.hpp).
   void reset(NodeId id) {
     id_ = id;
     packets_ = 0;
@@ -111,7 +105,7 @@ class UdpSink : public Node {
 
  private:
   sim::Simulator* sim_;
-  NodeId id_;
+  NodeId id_ = 0;
   std::uint64_t packets_ = 0;
   std::uint64_t bytes_ = 0;
   sim::TimePoint window_start_;

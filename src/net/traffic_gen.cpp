@@ -12,31 +12,24 @@ using sim::expects;
 
 UdpCbrSource::UdpCbrSource(sim::Simulator& sim, sim::Rng rng, Config config,
                            TransmitFn transmit)
-    : rng_(std::move(rng)),
-      config_(config),
-      transmit_(std::move(transmit)),
-      timer_(sim,
-             Duration::seconds(double(config.datagram_bytes) * 8.0 /
-                                    (config.rate_mbps * 1e6)),
-             [this](std::uint64_t) {
-               Packet pkt =
-                   Packet::make(PacketType::udp_data, Protocol::udp,
-                                config_.src, config_.dst,
-                                config_.datagram_bytes);
-               pkt.flow_id = config_.flow_id;
-               ++packets_sent_;
-               transmit_(std::move(pkt));
-             }) {
-  expects(config.rate_mbps > 0, "UdpCbrSource rate must be positive");
-  expects(config.datagram_bytes > 0, "UdpCbrSource datagram must be > 0B");
-  expects(static_cast<bool>(transmit_), "UdpCbrSource requires a transmit fn");
+    : timer_(sim, [this](std::uint64_t) {
+        Packet pkt = Packet::make(PacketType::udp_data, Protocol::udp,
+                                  config_.src, config_.dst,
+                                  config_.datagram_bytes);
+        pkt.flow_id = config_.flow_id;
+        ++packets_sent_;
+        transmit_(std::move(pkt));
+      }) {
+  reset(std::move(rng), config, std::move(transmit));
 }
 
-void UdpCbrSource::reset(sim::Rng rng, Config config) {
+void UdpCbrSource::reset(sim::Rng rng, Config config, TransmitFn transmit) {
   expects(config.rate_mbps > 0, "UdpCbrSource rate must be positive");
   expects(config.datagram_bytes > 0, "UdpCbrSource datagram must be > 0B");
+  expects(static_cast<bool>(transmit), "UdpCbrSource requires a transmit fn");
   rng_ = std::move(rng);
   config_ = config;
+  transmit_ = std::move(transmit);
   timer_.reset(Duration::seconds(double(config.datagram_bytes) * 8.0 /
                                  (config.rate_mbps * 1e6)));
   packets_sent_ = 0;
@@ -54,39 +47,23 @@ IperfLoadGenerator::IperfLoadGenerator(sim::Simulator& sim, sim::Rng rng,
                                        NodeId src, NodeId dst,
                                        std::size_t connections,
                                        double per_flow_mbps,
-                                       UdpCbrSource::TransmitFn transmit) {
-  expects(connections > 0, "IperfLoadGenerator requires >= 1 connection");
-  flows_.reserve(connections);
-  for (std::size_t i = 0; i < connections; ++i) {
-    UdpCbrSource::Config config;
-    config.src = src;
-    config.dst = dst;
-    config.flow_id = 1000 + static_cast<std::uint32_t>(i);
-    config.rate_mbps = per_flow_mbps;
-    flows_.push_back(std::make_unique<UdpCbrSource>(
-        sim, rng.fork(i), config, transmit));
-  }
+                                       const UdpCbrSource::TransmitFn& transmit)
+    : sim_(&sim) {
+  reset(std::move(rng), src, dst, connections, per_flow_mbps, transmit);
 }
 
-void IperfLoadGenerator::reset(sim::Simulator& sim, sim::Rng rng, NodeId src,
-                               NodeId dst, std::size_t connections,
-                               double per_flow_mbps,
+void IperfLoadGenerator::reset(sim::Rng rng, NodeId src, NodeId dst,
+                               std::size_t connections, double per_flow_mbps,
                                const UdpCbrSource::TransmitFn& transmit) {
   expects(connections > 0, "IperfLoadGenerator requires >= 1 connection");
-  flows_.resize(std::min(flows_.size(), connections));
-  flows_.reserve(connections);
+  flows_.resize(connections);
   for (std::size_t i = 0; i < connections; ++i) {
     UdpCbrSource::Config config;
     config.src = src;
     config.dst = dst;
     config.flow_id = 1000 + static_cast<std::uint32_t>(i);
     config.rate_mbps = per_flow_mbps;
-    if (i < flows_.size()) {
-      flows_[i]->reset(rng.fork(i), config);
-    } else {
-      flows_.push_back(std::make_unique<UdpCbrSource>(
-          sim, rng.fork(i), config, transmit));
-    }
+    sim::place(flows_[i], std::tie(*sim_), rng.fork(i), config, transmit);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
+#include "sim/resettable.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 
@@ -34,10 +35,9 @@ class UdpCbrSource {
   UdpCbrSource(const UdpCbrSource&) = delete;
   UdpCbrSource& operator=(const UdpCbrSource&) = delete;
 
-  /// Returns the source to the state the constructor would leave it in with
-  /// these arguments; the transmit fn is kept (shard-context reuse
-  /// contract).
-  void reset(sim::Rng rng, Config config);
+  /// The one setup path (sim/resettable.hpp): stopped, period from
+  /// `config`, datagrams handed to `transmit`.
+  void reset(sim::Rng rng, Config config, TransmitFn transmit);
 
   /// Starts emitting datagrams (first one within one inter-packet period).
   void start();
@@ -60,14 +60,12 @@ class IperfLoadGenerator {
  public:
   IperfLoadGenerator(sim::Simulator& sim, sim::Rng rng, NodeId src, NodeId dst,
                      std::size_t connections, double per_flow_mbps,
-                     UdpCbrSource::TransmitFn transmit);
+                     const UdpCbrSource::TransmitFn& transmit);
 
-  /// Reconfigures the generator as the constructor would with these
-  /// arguments, reusing existing flow objects where the connection count
-  /// allows (shard-context reuse contract).
-  void reset(sim::Simulator& sim, sim::Rng rng, NodeId src, NodeId dst,
-             std::size_t connections, double per_flow_mbps,
-             const UdpCbrSource::TransmitFn& transmit);
+  /// The one setup path (sim/resettable.hpp): places one flow per
+  /// connection (flow i on rng fork i), reusing existing flow objects.
+  void reset(sim::Rng rng, NodeId src, NodeId dst, std::size_t connections,
+             double per_flow_mbps, const UdpCbrSource::TransmitFn& transmit);
 
   void start();
   void stop();
@@ -77,6 +75,7 @@ class IperfLoadGenerator {
   [[nodiscard]] double offered_load_mbps() const;
 
  private:
+  sim::Simulator* sim_;
   std::vector<std::unique_ptr<UdpCbrSource>> flows_;
 };
 

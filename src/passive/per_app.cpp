@@ -12,6 +12,7 @@ PerAppMonitor::PerAppMonitor() : PerAppMonitor(Config{}) {}
 PerAppMonitor::PerAppMonitor(Config config) : config_(config) {
   expects(config_.max_outstanding > 0,
           "PerAppMonitor requires max_outstanding > 0");
+  reset();
 }
 
 void PerAppMonitor::watch_flow(net::NodeId phone, std::uint32_t flow_id,

@@ -11,9 +11,8 @@
 // to the (phone, flow, tool) that owns the traffic.
 //
 // Like the capture-point estimator it keeps flat per-flow tables with
-// bounded occupancy and warm storage across reset() (shard-context reuse
-// contract): the observe path allocates nothing in steady state and never
-// copies a Packet.
+// bounded occupancy and warm storage across reset(): the observe path
+// allocates nothing in steady state and never copies a Packet.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +58,8 @@ class PerAppMonitor : public FlowTap {
   /// Unanswered sends across all watched flows.
   [[nodiscard]] std::size_t outstanding() const;
 
-  /// Returns the monitor to its freshly-constructed state; table and
-  /// sample storage keeps its capacity (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): no watched flows, no
+  /// samples; the config stays and all storage keeps its capacity.
   void reset();
 
  private:

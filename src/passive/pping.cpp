@@ -34,6 +34,7 @@ PpingEstimator::PpingEstimator() : PpingEstimator(Config{}) {}
 PpingEstimator::PpingEstimator(Config config) : config_(config) {
   expects(config_.max_outstanding > 0,
           "PpingEstimator requires max_outstanding > 0");
+  reset();
 }
 
 void PpingEstimator::watch_flow(net::NodeId phone, std::uint32_t flow_id,

@@ -15,7 +15,7 @@
 // than `stale_after` — or beyond `max_outstanding` per flow — are evicted,
 // so a flow that dies mid-handshake cannot grow the table. All storage is
 // reserve()d up front and reset() keeps it warm, so the observe path
-// allocates nothing in steady state (shard-context reuse contract).
+// allocates nothing in steady state.
 #pragma once
 
 #include <cstddef>
@@ -86,8 +86,8 @@ class PpingEstimator : public CaptureObserver {
   /// Entries evicted unmatched (staleness or per-flow cap) so far.
   [[nodiscard]] std::size_t evicted() const { return evicted_; }
 
-  /// Returns the estimator to its freshly-constructed state; all table and
-  /// sample storage keeps its capacity (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): no watched flows, no
+  /// samples; the config stays and all storage keeps its capacity.
   void reset();
 
  private:

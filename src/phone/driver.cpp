@@ -11,7 +11,9 @@ using stack::StampPoint;
 
 WnicDriver::WnicDriver(sim::Simulator& sim, sim::Rng rng,
                        const PhoneProfile& profile, SdioBus& bus)
-    : sim_(&sim), rng_(std::move(rng)), profile_(&profile), bus_(&bus) {}
+    : sim_(&sim) {
+  reset(std::move(rng), profile, bus);
+}
 
 void WnicDriver::transmit(Packet&& packet) {
   const TimePoint xmit_entry = sim_->now();

@@ -37,8 +37,7 @@ class WnicDriver : public stack::StackLayer {
   WnicDriver(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile,
              SdioBus& bus);
 
-  /// Returns the driver to the state the constructor would leave it in with
-  /// these arguments; log storage stays warm (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp); log storage stays warm.
   void reset(sim::Rng rng, const PhoneProfile& profile, SdioBus& bus) {
     rng_ = std::move(rng);
     profile_ = &profile;
@@ -72,8 +71,8 @@ class WnicDriver : public stack::StackLayer {
  private:
   sim::Simulator* sim_;
   sim::Rng rng_;
-  const PhoneProfile* profile_;
-  SdioBus* bus_;
+  const PhoneProfile* profile_ = nullptr;
+  SdioBus* bus_ = nullptr;
   std::vector<double> dvsend_ms_;
   std::vector<double> dvrecv_ms_;
   std::uint64_t tx_packets_ = 0;

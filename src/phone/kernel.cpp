@@ -10,7 +10,9 @@ using stack::StampPoint;
 
 KernelStack::KernelStack(sim::Simulator& sim, sim::Rng rng,
                          const PhoneProfile& profile)
-    : sim_(&sim), rng_(std::move(rng)), profile_(&profile) {}
+    : sim_(&sim) {
+  reset(std::move(rng), profile);
+}
 
 void KernelStack::transmit(Packet&& packet) {
   // IP/transport processing down to the device queue.

@@ -19,8 +19,7 @@ class KernelStack : public stack::StackLayer {
  public:
   KernelStack(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile);
 
-  /// Returns the layer to the state the constructor would leave it in with
-  /// these arguments (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp).
   void reset(sim::Rng rng, const PhoneProfile& profile) {
     rng_ = std::move(rng);
     profile_ = &profile;
@@ -49,7 +48,7 @@ class KernelStack : public stack::StackLayer {
  private:
   sim::Simulator* sim_;
   sim::Rng rng_;
-  const PhoneProfile* profile_;
+  const PhoneProfile* profile_ = nullptr;
   std::uint64_t tx_packets_ = 0;
   std::uint64_t rx_packets_ = 0;
   std::uint64_t icmp_echoes_served_ = 0;

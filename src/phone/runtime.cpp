@@ -21,8 +21,9 @@ const char* to_string(ExecMode mode) {
   return "?";
 }
 
-ExecEnv::ExecEnv(sim::Rng rng, const PhoneProfile& profile)
-    : rng_(std::move(rng)), profile_(&profile) {}
+ExecEnv::ExecEnv(sim::Rng rng, const PhoneProfile& profile) {
+  reset(std::move(rng), profile);
+}
 
 void ExecEnv::reset(sim::Rng rng, const PhoneProfile& profile) {
   rng_ = std::move(rng);
@@ -49,10 +50,12 @@ Duration ExecEnv::recv_overhead(ExecMode mode) {
 
 ExecEnvLayer::ExecEnvLayer(sim::Simulator& sim, sim::Rng rng,
                            const PhoneProfile& profile)
-    : sim_(&sim), env_(std::move(rng), profile) {}
+    : sim_(&sim) {
+  reset(std::move(rng), profile);
+}
 
 void ExecEnvLayer::reset(sim::Rng rng, const PhoneProfile& profile) {
-  env_.reset(std::move(rng), profile);
+  sim::place(env_, std::tie(), std::move(rng), profile);
   flows_.clear();
   flow_ids_ = net::IdAllocator<std::uint32_t>{};
   tap_ = nullptr;
@@ -61,7 +64,7 @@ void ExecEnvLayer::reset(sim::Rng rng, const PhoneProfile& profile) {
 void ExecEnvLayer::send(Packet&& packet, ExecMode mode) {
   stamp(packet, StampPoint::app_send, sim_->now());  // t_u^o
   if (tap_ != nullptr) tap_->on_app_send(packet, sim_->now());
-  const Duration overhead = env_.send_overhead(mode);
+  const Duration overhead = env_->send_overhead(mode);
   sim_->schedule_in(overhead, [this, pkt = std::move(packet)]() mutable {
     pass_down(std::move(pkt));
   });
@@ -70,7 +73,7 @@ void ExecEnvLayer::send(Packet&& packet, ExecMode mode) {
 void ExecEnvLayer::deliver(Packet&& packet) {
   const FlowEntry* entry = find_flow(packet.flow_id);
   if (entry == nullptr) return;  // no app bound to this flow
-  const Duration overhead = env_.recv_overhead(entry->mode);
+  const Duration overhead = env_->recv_overhead(entry->mode);
   const std::uint32_t flow_id = packet.flow_id;
   sim_->schedule_in(overhead, [this, flow_id,
                                pkt = std::move(packet)]() mutable {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "net/id_alloc.hpp"
@@ -21,6 +22,7 @@
 #include "passive/observer.hpp"
 #include "phone/profile.hpp"
 #include "sim/random.hpp"
+#include "sim/resettable.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "stack/stack_layer.hpp"
@@ -35,8 +37,7 @@ class ExecEnv {
  public:
   ExecEnv(sim::Rng rng, const PhoneProfile& profile);
 
-  /// Returns the cost model to the state the constructor would leave it in
-  /// with these arguments (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp).
   void reset(sim::Rng rng, const PhoneProfile& profile);
 
   /// Latency between the app taking its send timestamp and the packet
@@ -49,16 +50,15 @@ class ExecEnv {
 
  private:
   sim::Rng rng_;
-  const PhoneProfile* profile_;
+  const PhoneProfile* profile_ = nullptr;
 };
 
 class ExecEnvLayer : public stack::StackLayer {
  public:
   ExecEnvLayer(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile);
 
-  /// Returns the layer to the state the constructor would leave it in with
-  /// these arguments: no registered flows, flow ids restarting from 1. The
-  /// flow-table storage stays warm (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): no registered flows, no flow
+  /// tap, flow ids restarting from 1; the flow-table storage stays warm.
   void reset(sim::Rng rng, const PhoneProfile& profile);
 
   // StackLayer.
@@ -98,11 +98,11 @@ class ExecEnvLayer : public stack::StackLayer {
   /// shard.
   void attach_flow_tap(passive::FlowTap* tap) { tap_ = tap; }
 
-  [[nodiscard]] ExecEnv& env() { return env_; }
+  [[nodiscard]] ExecEnv& env() { return *env_; }
 
  private:
   sim::Simulator* sim_;
-  ExecEnv env_;
+  std::optional<ExecEnv> env_;
   struct FlowEntry {
     std::uint32_t flow_id = 0;
     AppRxFn handler;

@@ -34,9 +34,8 @@ class SdioBus : public stack::StackLayer {
 
   SdioBus(sim::Simulator& sim, sim::Rng rng, const PhoneProfile& profile);
 
-  /// Returns the bus to the state the constructor would leave it in with
-  /// these arguments, including the randomized watchdog phase draw and
-  /// restart (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): loads the profile's bus
+  /// parameters and starts the watchdog at a random phase.
   void reset(sim::Rng rng, const PhoneProfile& profile);
 
   // StackLayer.
@@ -78,8 +77,8 @@ class SdioBus : public stack::StackLayer {
   LatencyDist wake_rx_;
   LatencyDist clk_request_;
   sim::Duration clk_idle_threshold_;
-  double transfer_mbps_;
-  int idletime_ticks_;
+  double transfer_mbps_ = 0;
+  int idletime_ticks_ = 0;
   bool sleep_enabled_ = true;
   State state_ = State::awake;
   int idle_ticks_ = 0;

@@ -1,5 +1,6 @@
 #include "phone/smartphone.hpp"
 
+#include <initializer_list>
 #include <utility>
 
 #include "sim/contracts.hpp"
@@ -38,81 +39,27 @@ const char* to_string(RadioKind kind) {
 Smartphone::Smartphone(sim::Simulator& sim, wifi::Channel& channel,
                        sim::Rng rng, PhoneProfile profile, net::NodeId id,
                        net::NodeId ap_id)
-    : sim_(&sim),
-      profile_(std::move(profile)),
-      id_(id),
-      radio_kind_(RadioKind::wifi),
-      rng_(rng.fork("smartphone")),
-      station_(std::make_unique<wifi::Station>(
-          sim, channel, rng.fork("station"),
-          station_config(profile_, id, ap_id))),
-      bus_(std::make_unique<SdioBus>(sim, rng.fork("bus"), profile_)),
-      driver_(std::make_unique<WnicDriver>(sim, rng.fork("driver"), profile_,
-                                           *bus_)),
-      kernel_(sim, rng.fork("kernel"), profile_),
-      exec_(sim, rng.fork("env"), profile_),
-      pipeline_(sim),
-      ap_id_(ap_id) {
-  pipeline_.append(exec_);
-  pipeline_.append(kernel_);
-  pipeline_.append(*driver_);
-  pipeline_.append(*bus_);
-  pipeline_.append(*station_);
-  if (profile_.system_traffic_mean_interval > Duration{}) {
-    schedule_system_traffic();
-  }
+    : sim_(&sim), radio_kind_(RadioKind::wifi), channel_(&channel) {
+  reset(std::move(rng), std::move(profile), id, ap_id);
 }
 
 Smartphone::Smartphone(sim::Simulator& sim, sim::Rng rng, PhoneProfile profile,
                        net::NodeId id, net::NodeId gateway_id,
                        const cellular::RrcConfig& rrc_config)
-    : sim_(&sim),
-      profile_(std::move(profile)),
-      id_(id),
-      radio_kind_(RadioKind::cellular),
-      rng_(rng.fork("smartphone")),
-      rrc_(std::make_unique<cellular::RrcMachine>(sim, rng.fork("rrc"),
-                                                  rrc_config)),
-      rrc_radio_(std::make_unique<cellular::RrcRadioLayer>(sim, *rrc_)),
-      kernel_(sim, rng.fork("kernel"), profile_),
-      exec_(sim, rng.fork("env"), profile_),
-      pipeline_(sim),
-      ap_id_(gateway_id) {
-  pipeline_.append(exec_);
-  pipeline_.append(kernel_);
-  pipeline_.append(*rrc_radio_);
-  if (profile_.system_traffic_mean_interval > Duration{}) {
-    schedule_system_traffic();
-  }
+    : sim_(&sim), radio_kind_(RadioKind::cellular) {
+  reset(std::move(rng), std::move(profile), id, gateway_id, rrc_config);
 }
 
 void Smartphone::reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
                        net::NodeId ap_id) {
   expects(radio_kind_ == RadioKind::wifi,
           "Smartphone::reset(wifi) on a cellular phone");
-  profile_ = std::move(profile);
-  id_ = id;
-  rng_ = rng.fork("smartphone");
-  // Subsystems reset in the constructor's member order so each event the
-  // construction schedules (doze timer, bus watchdog, system chatter) lands
-  // with the same sequence number as in a fresh build.
-  station_->reset(rng.fork("station"), station_config(profile_, id, ap_id));
-  bus_->reset(rng.fork("bus"), profile_);
-  driver_->reset(rng.fork("driver"), profile_, *bus_);
-  kernel_.reset(rng.fork("kernel"), profile_);
-  exec_.reset(rng.fork("env"), profile_);
-  pipeline_.reset();
-  pipeline_.append(exec_);
-  pipeline_.append(kernel_);
-  pipeline_.append(*driver_);
-  pipeline_.append(*bus_);
-  pipeline_.append(*station_);
-  ap_id_ = ap_id;
-  system_traffic_enabled_ = true;
-  system_packets_ = 0;
-  if (profile_.system_traffic_mean_interval > Duration{}) {
-    schedule_system_traffic();
-  }
+  reset_identity(rng, std::move(profile), id, ap_id);
+  sim::place(station_, std::tie(*sim_, *channel_), rng.fork("station"),
+             station_config(profile_, id, ap_id));
+  sim::place(bus_, std::tie(*sim_), rng.fork("bus"), profile_);
+  sim::place(driver_, std::tie(*sim_), rng.fork("driver"), profile_, *bus_);
+  reset_stack(rng, {driver_.get(), bus_.get(), station_.get()});
 }
 
 void Smartphone::reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
@@ -120,20 +67,33 @@ void Smartphone::reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
                        const cellular::RrcConfig& rrc_config) {
   expects(radio_kind_ == RadioKind::cellular,
           "Smartphone::reset(cellular) on a WiFi phone");
+  reset_identity(rng, std::move(profile), id, gateway_id);
+  sim::place(rrc_, std::tie(*sim_), rng.fork("rrc"), rrc_config);
+  sim::place(rrc_radio_, std::tie(*sim_), *rrc_);
+  reset_stack(rng, {rrc_radio_.get()});
+}
+
+void Smartphone::reset_identity(const sim::Rng& rng, PhoneProfile profile,
+                                net::NodeId id, net::NodeId gateway_id) {
   profile_ = std::move(profile);
   id_ = id;
-  rng_ = rng.fork("smartphone");
-  rrc_->reset(rng.fork("rrc"), rrc_config);
-  rrc_radio_->reset(*rrc_);
-  kernel_.reset(rng.fork("kernel"), profile_);
-  exec_.reset(rng.fork("env"), profile_);
-  pipeline_.reset();
-  pipeline_.append(exec_);
-  pipeline_.append(kernel_);
-  pipeline_.append(*rrc_radio_);
   ap_id_ = gateway_id;
+  rng_ = rng.fork("smartphone");
   system_traffic_enabled_ = true;
   system_packets_ = 0;
+}
+
+void Smartphone::reset_stack(
+    const sim::Rng& rng, std::initializer_list<stack::StackLayer*> bottom) {
+  // One fixed placement order (radio side, kernel, exec-env, pipeline,
+  // chatter), so each construction-time event (doze timer, bus watchdog,
+  // system chatter) claims the same sequence number on every build.
+  sim::place(kernel_, std::tie(*sim_), rng.fork("kernel"), profile_);
+  sim::place(exec_, std::tie(*sim_), rng.fork("env"), profile_);
+  sim::place(pipeline_, std::tie(*sim_));
+  pipeline_->append(*exec_);
+  pipeline_->append(*kernel_);
+  for (stack::StackLayer* layer : bottom) pipeline_->append(*layer);
   if (profile_.system_traffic_mean_interval > Duration{}) {
     schedule_system_traffic();
   }
@@ -187,7 +147,7 @@ void Smartphone::schedule_system_traffic() {
 
 void Smartphone::send(Packet&& packet, ExecMode mode) {
   packet.src = id_;
-  exec_.send(std::move(packet), mode);
+  exec_->send(std::move(packet), mode);
 }
 
 }  // namespace acute::phone

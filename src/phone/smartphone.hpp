@@ -19,7 +19,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 
 #include "cellular/rrc.hpp"
 #include "cellular/rrc_radio.hpp"
@@ -30,6 +32,7 @@
 #include "phone/runtime.hpp"
 #include "phone/sdio_bus.hpp"
 #include "sim/random.hpp"
+#include "sim/resettable.hpp"
 #include "sim/simulator.hpp"
 #include "stack/stack_pipeline.hpp"
 #include "wifi/channel.hpp"
@@ -59,16 +62,13 @@ class Smartphone {
   Smartphone(const Smartphone&) = delete;
   Smartphone& operator=(const Smartphone&) = delete;
 
-  /// Returns a WiFi phone to the state the WiFi constructor would leave it
-  /// in with these arguments. The phone stays attached to the channel it
-  /// was built on; every subsystem resets in construction order so the
-  /// event schedule matches a fresh build bit-for-bit (shard-context reuse
-  /// contract). Contract violation on a cellular phone.
+  /// The WiFi phone's one setup path (sim/resettable.hpp): places every
+  /// layer and arms the system chatter. The phone stays on the channel it
+  /// was built on. Contract violation on a cellular phone.
   void reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
              net::NodeId ap_id);
 
-  /// Cellular counterpart: returns the phone to the state the cellular
-  /// constructor would leave it in. The radio egress is cleared — the
+  /// The cellular phone's one setup path. The radio egress is cleared; the
   /// gateway re-wires it on attach. Contract violation on a WiFi phone.
   void reset(sim::Rng rng, PhoneProfile profile, net::NodeId id,
              net::NodeId gateway_id, const cellular::RrcConfig& rrc_config);
@@ -82,13 +82,15 @@ class Smartphone {
   using AppRxFn = ExecEnvLayer::AppRxFn;
   void register_flow(std::uint32_t flow_id, AppRxFn handler,
                      ExecMode mode = ExecMode::native_c) {
-    exec_.register_flow(flow_id, std::move(handler), mode);
+    exec_->register_flow(flow_id, std::move(handler), mode);
   }
-  void unregister_flow(std::uint32_t flow_id) { exec_.unregister_flow(flow_id); }
+  void unregister_flow(std::uint32_t flow_id) {
+    exec_->unregister_flow(flow_id);
+  }
 
   /// Allocates a flow id no other app on this phone uses (wrap-safe).
   [[nodiscard]] std::uint32_t allocate_flow_id() {
-    return exec_.allocate_flow_id();
+    return exec_->allocate_flow_id();
   }
 
   /// Sends a packet from an app. Stamps app_send (t_u^o) now; the packet
@@ -96,9 +98,9 @@ class Smartphone {
   void send(net::Packet&& packet, ExecMode mode);
 
   // Subsystem access (ablations, instrumentation, tests).
-  [[nodiscard]] stack::StackPipeline& pipeline() { return pipeline_; }
-  [[nodiscard]] ExecEnvLayer& exec_env() { return exec_; }
-  [[nodiscard]] KernelStack& kernel() { return kernel_; }
+  [[nodiscard]] stack::StackPipeline& pipeline() { return *pipeline_; }
+  [[nodiscard]] ExecEnvLayer& exec_env() { return *exec_; }
+  [[nodiscard]] KernelStack& kernel() { return *kernel_; }
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
   // WiFi-stack subsystems (contract violation on a cellular phone).
   [[nodiscard]] wifi::Station& station();
@@ -118,12 +120,20 @@ class Smartphone {
   }
 
  private:
+  /// The state both resets share: identity, rng stream, chatter counters.
+  void reset_identity(const sim::Rng& rng, PhoneProfile profile,
+                      net::NodeId id, net::NodeId gateway_id);
+  /// Places the kernel and exec-env, composes the pipeline over `bottom`
+  /// (top to bottom) and arms the system chatter.
+  void reset_stack(const sim::Rng& rng,
+                   std::initializer_list<stack::StackLayer*> bottom);
   void schedule_system_traffic();
 
   sim::Simulator* sim_;
-  PhoneProfile profile_;
-  net::NodeId id_;
   RadioKind radio_kind_;
+  wifi::Channel* channel_ = nullptr;  // WiFi phones only
+  PhoneProfile profile_;
+  net::NodeId id_ = 0;
   sim::Rng rng_;
   // WiFi bottom (null on cellular phones).
   std::unique_ptr<wifi::Station> station_;
@@ -132,9 +142,9 @@ class Smartphone {
   // Cellular bottom (null on WiFi phones).
   std::unique_ptr<cellular::RrcMachine> rrc_;
   std::unique_ptr<cellular::RrcRadioLayer> rrc_radio_;
-  KernelStack kernel_;
-  ExecEnvLayer exec_;
-  stack::StackPipeline pipeline_;
+  std::optional<KernelStack> kernel_;
+  std::optional<ExecEnvLayer> exec_;
+  std::optional<stack::StackPipeline> pipeline_;
   net::NodeId ap_id_ = 0;
   bool system_traffic_enabled_ = true;
   std::uint64_t system_packets_ = 0;

@@ -17,6 +17,8 @@ namespace acute::sim {
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : seed_(seed) {}
+  /// Seed 0: the placeholder of a member its owner's reset() assigns.
+  Rng() : Rng(0) {}
 
   /// Derives an independent child stream keyed by `tag`.
   [[nodiscard]] Rng fork(std::string_view tag) const;

@@ -58,9 +58,14 @@ class PeriodicTimer {
   using TickFn = std::function<void(std::uint64_t)>;
 
   PeriodicTimer(Simulator& sim, Duration period, TickFn on_tick)
-      : sim_(&sim), period_(period), on_tick_(std::move(on_tick)) {
-    expects(period > Duration{}, "PeriodicTimer period must be positive");
+      : PeriodicTimer(sim, std::move(on_tick)) {
+    reset(period);
   }
+
+  /// A timer whose period its owner sets with reset(period) before start()
+  /// (owners whose period follows the scenario, e.g. the SDIO bus watchdog).
+  PeriodicTimer(Simulator& sim, TickFn on_tick)
+      : sim_(&sim), on_tick_(std::move(on_tick)) {}
 
   PeriodicTimer(const PeriodicTimer&) = delete;
   PeriodicTimer& operator=(const PeriodicTimer&) = delete;
@@ -70,6 +75,7 @@ class PeriodicTimer {
   void start(Duration initial_delay = Duration{}) {
     expects(!initial_delay.is_negative(),
             "PeriodicTimer initial delay must be non-negative");
+    expects(period_ > Duration{}, "PeriodicTimer::start before reset(period)");
     stop();
     running_ = true;
     tick_index_ = 0;
@@ -82,10 +88,9 @@ class PeriodicTimer {
     handle_.cancel();
   }
 
-  /// Returns the timer to its freshly-constructed state with a (possibly
-  /// new) period. Used by the shard-context pool, where the owning
-  /// component's period can change with the scenario (e.g. the SDIO bus
-  /// watchdog follows the phone profile).
+  /// Stops the timer and sets its period; the constructor's one setup
+  /// path, and the shard-context pool's (an owner's period can change with
+  /// the scenario, e.g. the SDIO bus watchdog follows the phone profile).
   void reset(Duration period) {
     expects(period > Duration{}, "PeriodicTimer period must be positive");
     stop();
@@ -109,7 +114,7 @@ class PeriodicTimer {
   }
 
   Simulator* sim_;
-  Duration period_;
+  Duration period_{};
   TickFn on_tick_;
   EventHandle handle_;
   bool running_ = false;

@@ -8,15 +8,9 @@ namespace acute::stack {
 
 using sim::expects;
 
-StackPipeline::StackPipeline(sim::Simulator& sim) : sim_(&sim) {}
+StackPipeline::StackPipeline(sim::Simulator& sim) : sim_(&sim) { reset(); }
 
-StackPipeline::~StackPipeline() {
-  for (StackLayer* layer : layers_) {
-    layer->above_ = nullptr;
-    layer->below_ = nullptr;
-    layer->pipeline_ = nullptr;
-  }
-}
+StackPipeline::~StackPipeline() { reset(); }
 
 void StackPipeline::reset() {
   for (StackLayer* layer : layers_) {

@@ -568,9 +568,9 @@ report::ShardCheckpoint Campaign::run_shard(
     }
   }
 
-  // Reuse the warm testbed — rebuild() replays the construction order on
-  // the reset simulator, bit-identical to a fresh build — or construct it
-  // into the context slot on first use.
+  // Reuse the warm testbed — rebuild() places the node graph on the reset
+  // simulator through the same reset() calls a fresh build runs — or
+  // construct it into the context slot on first use.
   if (ctx.testbed.has_value()) {
     ctx.testbed->rebuild(scenario);
     ++ctx.reuses;
@@ -626,7 +626,7 @@ report::ShardCheckpoint Campaign::run_shard(
     if (slot.tool != nullptr && slot.kind == workload.tool &&
         slot.phone == &testbed.phone(i)) {
       // Same tool kind bound to the same (reset) phone object:
-      // reinitialize() restores the state the constructor would build.
+      // reinitialize() is the setup path the constructor runs too.
       slot.tool->reinitialize(config);
     } else {
       slot.tool = tools::make_tool(workload.tool, testbed.phone(i), config);

@@ -12,11 +12,12 @@
 // The hard constraint is bit-identity: a shard executed on a reused context
 // produces byte-identical digests, JSONL exports and checkpoint records to
 // one executed on a fresh context, for any worker count and across
-// kill/resume. Every reset() in the chain is specified as "the state the
-// constructor would leave behind", and Testbed::rebuild replays the
-// construction order exactly so the event schedule (and thus every rng
-// draw) matches a fresh build. docs/campaigns.md § "The shard-context pool"
-// documents the full contract and what is / is not reused.
+// kill/resume. It holds by construction: every component's constructor
+// delegates to its reset() (sim/resettable.hpp), and Testbed::rebuild
+// places the node graph in the one order a fresh build uses, so the event
+// schedule (and thus every rng draw) matches. docs/campaigns.md § "The
+// shard-context pool" documents the full contract and what is / is not
+// reused.
 #pragma once
 
 #include <cstddef>

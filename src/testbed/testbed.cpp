@@ -41,16 +41,15 @@ std::string sniffer_label(std::size_t index) {
 
 WirelessHost::WirelessHost(sim::Simulator& sim, wifi::Channel& channel,
                            sim::Rng rng, net::NodeId id, net::NodeId ap_id)
-    : sim_(&sim),
-      rng_(std::move(rng)),
-      id_(id),
-      station_(sim, channel, rng_.fork("station"),
-               load_gen_station_config(id, ap_id)) {}
+    : sim_(&sim), channel_(&channel) {
+  reset(std::move(rng), id, ap_id);
+}
 
 void WirelessHost::reset(sim::Rng rng, net::NodeId id, net::NodeId ap_id) {
   rng_ = std::move(rng);
   id_ = id;
-  station_.reset(rng_.fork("station"), load_gen_station_config(id, ap_id));
+  sim::place(station_, std::tie(*sim_, *channel_), rng_.fork("station"),
+             load_gen_station_config(id, ap_id));
 }
 
 void WirelessHost::transmit(Packet&& packet) {
@@ -58,7 +57,7 @@ void WirelessHost::transmit(Packet&& packet) {
   // Desktop host stack: tens of microseconds, no phone-style quirks.
   const Duration stack = Duration::micros(rng_.uniform(20.0, 60.0));
   sim_->schedule_in(stack, [this, pkt = std::move(packet)]() mutable {
-    station_.send(std::move(pkt));
+    station_->send(std::move(pkt));
   });
 }
 
@@ -132,13 +131,12 @@ std::size_t ScenarioSpec::count_radio(phone::RadioKind kind) const {
 Testbed::Testbed(ScenarioSpec spec)
     : owned_sim_(std::make_unique<sim::Simulator>()),
       sim_(owned_sim_.get()),
-      spec_(std::move(spec)),
-      rng_(spec_.seed) {
+      spec_(std::move(spec)) {
   build_graph();
 }
 
 Testbed::Testbed(ScenarioSpec spec, sim::Simulator& sim)
-    : sim_(&sim), spec_(std::move(spec)), rng_(spec_.seed) {
+    : sim_(&sim), spec_(std::move(spec)) {
   build_graph();
 }
 
@@ -148,81 +146,42 @@ void Testbed::rebuild(const ScenarioSpec& spec) {
   // profile strings inside) copy into the buffers the previous scenario
   // left behind, so a shape-stable rebuild touches the heap zero times.
   spec_ = spec;
-  rng_ = sim::Rng(spec_.seed);
-  iperf_ready_ = false;
-  cross_running_ = false;
   build_graph();
 }
 
 void Testbed::build_graph() {
   expects(!spec_.phones.empty(), "ScenarioSpec requires at least one phone");
+  rng_ = sim::Rng(spec_.seed);
+  iperf_ready_ = false;
+  cross_running_ = false;
 
-  // Every component below is reset in place when it already exists and
-  // constructed otherwise, in the exact order the original constructor
-  // used. Order matters twice over: rng fork tags must pair with the same
-  // components, and construction-time events (doze timers, bus watchdogs,
-  // system chatter, beacons) must claim the same event-queue sequence
-  // numbers as in a fresh build — that is what makes a reused testbed
-  // bit-identical to a fresh one.
-  const wifi::PhyParams phy = spec_.congested_phy ? wifi::phy_802_11g_mixed()
-                                                  : wifi::phy_802_11g();
-  if (channel_) {
-    channel_->reset(rng_.fork("channel"), phy);
-  } else {
-    channel_ =
-        std::make_unique<wifi::Channel>(*sim_, rng_.fork("channel"), phy);
-  }
-
+  // Every component is placed (sim::place: constructed on first use, reset
+  // afterwards, same arguments either way) in one fixed order. Order
+  // matters twice over: rng fork tags must pair with the same components,
+  // and construction-time events (doze timers, bus watchdogs, system
+  // chatter, beacons) must claim the same event-queue sequence numbers on
+  // every build. The channel goes first: its reset empties the radio list
+  // the AP, phone and load-generator radios then re-attach to, in order.
+  using std::tie;
+  sim::place(channel_, tie(*sim_), rng_.fork("channel"),
+             spec_.congested_phy ? wifi::phy_802_11g_mixed()
+                                 : wifi::phy_802_11g());
   wifi::AccessPoint::Config ap_config;
   ap_config.id = kApId;
   ap_config.send_ttl_exceeded = spec_.send_ttl_exceeded;
-  if (ap_) {
-    ap_->reset(rng_.fork("ap"), ap_config);
-  } else {
-    ap_ = std::make_unique<wifi::AccessPoint>(*sim_, *channel_,
-                                              rng_.fork("ap"), ap_config);
-  }
-
-  if (switch_) {
-    switch_->reset(kSwitchId);
-  } else {
-    switch_ = std::make_unique<net::Switch>(kSwitchId);
-  }
-  if (server_) {
-    server_->reset(rng_.fork("server"), kServerId);
-  } else {
-    server_ = std::make_unique<net::EchoServer>(*sim_, rng_.fork("server"),
-                                                kServerId);
-  }
-  if (load_sink_) {
-    load_sink_->reset(kLoadSinkId);
-  } else {
-    load_sink_ = std::make_unique<net::UdpSink>(*sim_, kLoadSinkId);
-  }
+  sim::place(ap_, tie(*sim_, *channel_), rng_.fork("ap"), ap_config);
+  sim::place(switch_, tie(), kSwitchId);
+  sim::place(server_, tie(*sim_), rng_.fork("server"), kServerId);
+  sim::place(load_sink_, tie(*sim_), kLoadSinkId);
 
   // Gigabit wired fabric with ~5 us propagation per hop.
   const Duration wire_prop = Duration::micros(5.0);
   const double gigabit = 1e9;
-  if (ap_switch_link_) {
-    ap_switch_link_->reset(*ap_, *switch_, wire_prop, gigabit);
-  } else {
-    ap_switch_link_ =
-        std::make_unique<net::Link>(*sim_, *ap_, *switch_, wire_prop, gigabit);
-  }
-  if (switch_server_link_) {
-    switch_server_link_->reset(*switch_, *server_, wire_prop, gigabit);
-  } else {
-    switch_server_link_ = std::make_unique<net::Link>(*sim_, *switch_,
-                                                      *server_, wire_prop,
-                                                      gigabit);
-  }
-  if (switch_sink_link_) {
-    switch_sink_link_->reset(*switch_, *load_sink_, wire_prop, gigabit);
-  } else {
-    switch_sink_link_ = std::make_unique<net::Link>(*sim_, *switch_,
-                                                    *load_sink_, wire_prop,
-                                                    gigabit);
-  }
+  sim::place(ap_switch_link_, tie(*sim_), *ap_, *switch_, wire_prop, gigabit);
+  sim::place(switch_server_link_, tie(*sim_), *switch_, *server_, wire_prop,
+             gigabit);
+  sim::place(switch_sink_link_, tie(*sim_), *switch_, *load_sink_, wire_prop,
+             gigabit);
   ap_->attach_wired(*ap_switch_link_);
   switch_->attach_port(*ap_switch_link_);
   switch_->attach_port(*switch_server_link_);
@@ -240,18 +199,9 @@ void Testbed::build_graph() {
   if (spec_.count_radio(phone::RadioKind::cellular) > 0) {
     expects(!spec_.cellular_core_rtt.is_negative(),
             "ScenarioSpec cellular core RTT must be non-negative");
-    if (gateway_) {
-      gateway_->reset(kCellGatewayId);
-    } else {
-      gateway_ = std::make_unique<CellularGateway>(*sim_, kCellGatewayId);
-    }
-    if (gateway_link_) {
-      gateway_link_->reset(*gateway_, *switch_, spec_.cellular_core_rtt / 2,
-                           gigabit);
-    } else {
-      gateway_link_ = std::make_unique<net::Link>(
-          *sim_, *gateway_, *switch_, spec_.cellular_core_rtt / 2, gigabit);
-    }
+    sim::place(gateway_, tie(*sim_), kCellGatewayId);
+    sim::place(gateway_link_, tie(*sim_), *gateway_, *switch_,
+               spec_.cellular_core_rtt / 2, gigabit);
     switch_->attach_port(*gateway_link_);
     gateway_->attach_link(*gateway_link_);
   } else {
@@ -267,10 +217,7 @@ void Testbed::build_graph() {
       "channel", "ap",        "server",    "loadgen",  "iperf",
       "tbtt",    "sniffer-A", "sniffer-B", "sniffer-C"};
   used_labels_.clear();
-  if (phones_.size() > spec_.phones.size()) {
-    phones_.resize(spec_.phones.size());
-  }
-  phones_.reserve(spec_.phones.size());
+  phones_.resize(spec_.phones.size());
   for (std::size_t i = 0; i < spec_.phones.size(); ++i) {
     const PhoneSpec& phone_spec = spec_.phones[i];
     const std::string label = phone_label(phone_spec, i);
@@ -284,45 +231,21 @@ void Testbed::build_graph() {
             "ScenarioSpec phone labels must be unique");
     used_labels_.push_back(label);
     const net::NodeId id = phone_id(i);
-    const bool have_slot = i < phones_.size();
+    // A slot whose phone has the other radio kind is rebuilt from scratch.
+    std::unique_ptr<phone::Smartphone>& slot = phones_[i];
+    if (slot && slot->radio_kind() != phone_spec.radio) slot.reset();
     if (phone_spec.radio == phone::RadioKind::cellular) {
-      if (have_slot &&
-          phones_[i]->radio_kind() == phone::RadioKind::cellular) {
-        phones_[i]->reset(rng_.fork(label), phone_spec.profile, id,
-                          kCellGatewayId, phone_spec.rrc);
-      } else {
-        auto fresh = std::make_unique<phone::Smartphone>(
-            *sim_, rng_.fork(label), phone_spec.profile, id, kCellGatewayId,
-            phone_spec.rrc);
-        if (have_slot) {
-          phones_[i] = std::move(fresh);
-        } else {
-          phones_.push_back(std::move(fresh));
-        }
-      }
-      gateway_->attach_phone(*phones_[i]);
+      sim::place(slot, tie(*sim_), rng_.fork(label), phone_spec.profile, id,
+                 kCellGatewayId, phone_spec.rrc);
+      gateway_->attach_phone(*slot);
     } else {
-      if (have_slot && phones_[i]->radio_kind() == phone::RadioKind::wifi) {
-        phones_[i]->reset(rng_.fork(label), phone_spec.profile, id, kApId);
-      } else {
-        auto fresh = std::make_unique<phone::Smartphone>(
-            *sim_, *channel_, rng_.fork(label), phone_spec.profile, id,
-            kApId);
-        if (have_slot) {
-          phones_[i] = std::move(fresh);
-        } else {
-          phones_.push_back(std::move(fresh));
-        }
-      }
+      sim::place(slot, tie(*sim_, *channel_), rng_.fork(label),
+                 phone_spec.profile, id, kApId);
       ap_->associate(id, phone_spec.profile.associated_listen_interval);
     }
   }
-  if (load_gen_) {
-    load_gen_->reset(rng_.fork("loadgen"), kLoadGenId, kApId);
-  } else {
-    load_gen_ = std::make_unique<WirelessHost>(
-        *sim_, *channel_, rng_.fork("loadgen"), kLoadGenId, kApId);
-  }
+  sim::place(load_gen_, tie(*sim_, *channel_), rng_.fork("loadgen"),
+             kLoadGenId, kApId);
   ap_->associate(kLoadGenId, 1);
 
   // The iPerf generator is built lazily in ensure_iperf(): its flows draw
@@ -332,18 +255,10 @@ void Testbed::build_graph() {
 
   // Sniffers within 0.5 m of the phones (§2.2): they all see every frame;
   // each has an independent timestamp-noise stream.
-  if (sniffers_.size() > spec_.sniffer_count) {
-    sniffers_.resize(spec_.sniffer_count);
-  }
-  sniffers_.reserve(spec_.sniffer_count);
+  sniffers_.resize(spec_.sniffer_count);
   for (std::size_t i = 0; i < spec_.sniffer_count; ++i) {
     const std::string name = sniffer_label(i);
-    if (i < sniffers_.size()) {
-      sniffers_[i]->reset(name, rng_.fork(name), spec_.sniffer_noise);
-    } else {
-      sniffers_.push_back(std::make_unique<wifi::Sniffer>(
-          name, rng_.fork(name), spec_.sniffer_noise));
-    }
+    sim::place(sniffers_[i], tie(), name, rng_.fork(name), spec_.sniffer_noise);
     channel_->attach_observer(*sniffers_[i]);
   }
 
@@ -354,16 +269,9 @@ void Testbed::build_graph() {
 
 void Testbed::ensure_iperf() {
   if (iperf_ready_) return;
-  if (iperf_) {
-    iperf_->reset(*sim_, rng_.fork("iperf"), kLoadGenId, kLoadSinkId,
-                  spec_.cross_connections, spec_.cross_flow_mbps,
-                  [this](Packet pkt) { load_gen_->transmit(std::move(pkt)); });
-  } else {
-    iperf_ = std::make_unique<net::IperfLoadGenerator>(
-        *sim_, rng_.fork("iperf"), kLoadGenId, kLoadSinkId,
-        spec_.cross_connections, spec_.cross_flow_mbps,
-        [this](Packet pkt) { load_gen_->transmit(std::move(pkt)); });
-  }
+  sim::place(iperf_, std::tie(*sim_), rng_.fork("iperf"), kLoadGenId,
+             kLoadSinkId, spec_.cross_connections, spec_.cross_flow_mbps,
+             [this](Packet pkt) { load_gen_->transmit(std::move(pkt)); });
   iperf_ready_ = true;
 }
 

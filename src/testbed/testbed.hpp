@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "phone/profile.hpp"
 #include "phone/smartphone.hpp"
 #include "sim/random.hpp"
+#include "sim/resettable.hpp"
 #include "sim/simulator.hpp"
 #include "tools/factory.hpp"
 #include "tools/tool.hpp"
@@ -50,24 +52,24 @@ class WirelessHost {
   WirelessHost(sim::Simulator& sim, wifi::Channel& channel, sim::Rng rng,
                net::NodeId id, net::NodeId ap_id);
 
-  /// Returns the host to the state the constructor would leave it in with
-  /// these arguments; the host stays on the channel it was built on
-  /// (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp); the host stays on the
+  /// channel it was built on.
   void reset(sim::Rng rng, net::NodeId id, net::NodeId ap_id);
 
   /// Sends a packet toward the AP after a small host-stack delay.
   void transmit(net::Packet&& packet);
 
   /// The host's 802.11 station (power save disabled).
-  [[nodiscard]] wifi::Station& station() { return station_; }
+  [[nodiscard]] wifi::Station& station() { return *station_; }
   /// The host's node id on the fabric.
   [[nodiscard]] net::NodeId id() const { return id_; }
 
  private:
   sim::Simulator* sim_;
+  wifi::Channel* channel_;
   sim::Rng rng_;
-  net::NodeId id_;
-  wifi::Station station_;
+  net::NodeId id_ = 0;
+  std::optional<wifi::Station> station_;
 };
 
 /// Per-phone measurement workload: which tool the campaign engine runs on
@@ -120,11 +122,12 @@ struct PhoneSpec {
 /// of that phone's pipeline.
 class CellularGateway : public net::Node {
  public:
-  CellularGateway(sim::Simulator& sim, net::NodeId id)
-      : sim_(&sim), id_(id) {}
+  CellularGateway(sim::Simulator& sim, net::NodeId id) : sim_(&sim) {
+    reset(id);
+  }
 
-  /// Returns the gateway to the state the constructor would leave it in;
-  /// the phone registry storage stays warm (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp); the phone registry storage
+  /// stays warm.
   void reset(net::NodeId id) {
     id_ = id;
     link_ = nullptr;
@@ -152,7 +155,7 @@ class CellularGateway : public net::Node {
   void uplink(net::Packet&& packet);
 
   sim::Simulator* sim_;
-  net::NodeId id_;
+  net::NodeId id_ = 0;
   net::Link* link_ = nullptr;
   // A scenario registers a handful of cellular phones; a flat vector keeps
   // lookups cheap and (re)attachment allocation-free in steady state.
@@ -241,11 +244,11 @@ class Testbed {
   /// Tears the previous scenario down logically (simulator reset, all
   /// pending events cancelled) and builds `spec` in place, reusing every
   /// node, link and stack object whose shape still fits. The result is
-  /// indistinguishable from a freshly-constructed Testbed{spec}: the same
-  /// rng streams, the same event schedule, the same node graph — but with
-  /// near-zero heap allocations when the scenario shape repeats
-  /// (shard-context reuse contract). Takes the spec by const reference so
-  /// the internal copy reuses the previous scenario's buffer capacity.
+  /// indistinguishable from a fresh Testbed{spec} (sim/resettable.hpp):
+  /// the same rng streams, the same event schedule, the same node graph —
+  /// but with near-zero heap allocations when the scenario shape repeats.
+  /// Takes the spec by const reference so the internal copy reuses the
+  /// previous scenario's buffer capacity.
   void rebuild(const ScenarioSpec& spec);
 
   /// The scenario's simulator (all devices schedule on it).
@@ -310,17 +313,17 @@ class Testbed {
       const tools::ToolRun& run) const;
 
  private:
-  /// First build and every rebuild: constructs/resets the whole node graph
-  /// from spec_ in the exact order the original constructor used, so the
-  /// event schedule (and therefore every simulation output) is bit-identical
-  /// between a fresh Testbed and a reused one.
+  /// First build and every rebuild: places the whole node graph from spec_
+  /// (sim::place: constructed on first use, reset afterwards) in one fixed
+  /// order, so the event schedule (and therefore every simulation output)
+  /// is bit-identical between a fresh Testbed and a reused one.
   void build_graph();
   /// Builds or reconfigures the iPerf generator for the current spec. The
   /// generator is lazy: scenarios that never start cross traffic (most
   /// campaign shards) never pay for its ten flows.
   void ensure_iperf();
 
-  // owned_sim_ before sim_ before spec_/rng_: constructor member-init order.
+  // owned_sim_ before sim_ before spec_: constructor member-init order.
   std::unique_ptr<sim::Simulator> owned_sim_;
   sim::Simulator* sim_;
   ScenarioSpec spec_;

@@ -9,15 +9,17 @@
 
 namespace acute::tools {
 
-class HttPing : public MeasurementTool {
+class HttPing final : public MeasurementTool {
  public:
   HttPing(phone::Smartphone& phone, Config config)
-      : MeasurementTool(phone, make_sequential(config)) {}
+      : MeasurementTool(phone, /*sequential_only=*/true) {
+    reinitialize(config);
+  }
 
   [[nodiscard]] std::string name() const override { return "httping"; }
 
   void reinitialize(Config config) override {
-    MeasurementTool::reinitialize(make_sequential(config));
+    MeasurementTool::reinitialize(config);
     connected_ = false;
   }
 
@@ -28,10 +30,6 @@ class HttPing : public MeasurementTool {
                                           double raw_rtt_ms) override;
 
  private:
-  static Config make_sequential(Config config) {
-    config.sequential = true;
-    return config;
-  }
   bool connected_ = false;
 };
 

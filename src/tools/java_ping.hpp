@@ -12,16 +12,14 @@
 
 namespace acute::tools {
 
-class JavaPing : public MeasurementTool {
+class JavaPing final : public MeasurementTool {
  public:
   JavaPing(phone::Smartphone& phone, Config config)
-      : MeasurementTool(phone, make_sequential(config)) {}
+      : MeasurementTool(phone, /*sequential_only=*/true) {
+    reinitialize(config);
+  }
 
   [[nodiscard]] std::string name() const override { return "Java ping"; }
-
-  void reinitialize(Config config) override {
-    MeasurementTool::reinitialize(make_sequential(config));
-  }
 
  protected:
   [[nodiscard]] phone::ExecMode exec_mode() const override {
@@ -31,12 +29,6 @@ class JavaPing : public MeasurementTool {
   std::optional<double> on_probe_response(int index,
                                           const net::Packet& response,
                                           double raw_rtt_ms) override;
-
- private:
-  static Config make_sequential(Config config) {
-    config.sequential = true;
-    return config;
-  }
 };
 
 }  // namespace acute::tools

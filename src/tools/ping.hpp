@@ -11,10 +11,11 @@
 
 namespace acute::tools {
 
-class IcmpPing : public MeasurementTool {
+class IcmpPing final : public MeasurementTool {
  public:
-  IcmpPing(phone::Smartphone& phone, Config config)
-      : MeasurementTool(phone, config) {}
+  IcmpPing(phone::Smartphone& phone, Config config) : MeasurementTool(phone) {
+    reinitialize(config);
+  }
 
   [[nodiscard]] std::string name() const override { return "ping"; }
 

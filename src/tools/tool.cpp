@@ -33,13 +33,11 @@ std::size_t ToolRun::success_count() const {
   return probes.size() - loss_count();
 }
 
-MeasurementTool::MeasurementTool(phone::Smartphone& phone, Config config)
-    : phone_(&phone), sim_(&phone.simulator()), config_(config) {
-  expects(config.probe_count > 0, "MeasurementTool requires probe_count > 0");
-  expects(config.timeout > Duration{},
-          "MeasurementTool requires a positive timeout");
-  flow_id_ = phone_->allocate_flow_id();
-}
+MeasurementTool::MeasurementTool(phone::Smartphone& phone,
+                                 bool sequential_only)
+    : phone_(&phone),
+      sim_(&phone.simulator()),
+      sequential_only_(sequential_only) {}
 
 MeasurementTool::~MeasurementTool() { phone_->unregister_flow(flow_id_); }
 
@@ -49,6 +47,7 @@ void MeasurementTool::reinitialize(Config config) {
           "MeasurementTool requires a positive timeout");
   phone_->unregister_flow(flow_id_);  // no-op when the last run finished
   config_ = config;
+  config_.sequential |= sequential_only_;
   flow_id_ = phone_->allocate_flow_id();
   outstanding_.clear();
   probe_of_index_.clear();

@@ -71,13 +71,10 @@ class MeasurementTool {
     /// Node id of the measurement server the probes target.
     net::NodeId target = 0;
     /// false = periodic schedule, true = each probe waits for the previous
-    /// exchange (sequential tools force this in their constructors).
+    /// exchange (sequential-only tools force it; see the constructor).
     bool sequential = false;
   };
 
-  /// Binds the tool to `phone`'s stack; requires probe_count > 0 and a
-  /// positive timeout. The tool must not outlive the phone.
-  MeasurementTool(phone::Smartphone& phone, Config config);
   virtual ~MeasurementTool();
 
   MeasurementTool(const MeasurementTool&) = delete;
@@ -93,12 +90,11 @@ class MeasurementTool {
   /// order (a timeout outlives later responses).
   using ProbeFn = std::function<void(const ProbeRecord&)>;
 
-  /// Returns the tool to the state a fresh construction on the same phone
-  /// with `config` would produce: a new flow id is drawn from the phone's
-  /// (reset) allocator, all matching and schedule state clears in place
-  /// with storage kept warm, and start() may be called again. Overrides
-  /// adapt `config` exactly as the corresponding constructor does, then
-  /// reset their own state (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): requires probe_count > 0
+  /// and a positive timeout, draws a new flow id from the phone's
+  /// allocator, clears all matching and schedule state in place with
+  /// storage kept warm, and lets start() be called again. An override
+  /// calls this first, then resets its own state.
   virtual void reinitialize(Config config);
 
   /// Launches the probe schedule; calling it a second time is a contract
@@ -126,6 +122,13 @@ class MeasurementTool {
   [[nodiscard]] std::uint32_t flow_id() const { return flow_id_; }
 
  protected:
+  /// Binds the tool to `phone`'s stack; the tool must not outlive the
+  /// phone. `sequential_only` tools run every config sequentially. Each
+  /// (final) tool's constructor ends with reinitialize(config), so that
+  /// call sets up a fresh tool and a reused one alike.
+  explicit MeasurementTool(phone::Smartphone& phone,
+                           bool sequential_only = false);
+
   /// Launch hook behind start()'s once-only guard. The default arms the
   /// base probe schedule immediately; tools with a lead-in protocol
   /// (AcuteMon) override it and call begin_probes() when the lead elapses.
@@ -186,6 +189,7 @@ class MeasurementTool {
 
   phone::Smartphone* phone_;
   sim::Simulator* sim_;
+  bool sequential_only_;
   Config config_;
   std::uint32_t flow_id_ = 0;
   std::unordered_map<std::uint64_t, Outstanding> outstanding_;  // by probe_id

@@ -16,28 +16,19 @@ using sim::expects;
 AccessPoint::AccessPoint(sim::Simulator& sim, Channel& channel, sim::Rng rng,
                          Config config)
     : sim_(&sim),
-      rng_(std::move(rng)),
-      config_(config),
-      radio_(channel, config.id),
-      beacon_timer_(sim, beacon_interval(),
-                    [this](std::uint64_t) { send_beacon(); }) {
-  radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
-    on_radio_receive(std::move(pkt), frame);
-  });
-  radio_.set_delivery_fail_handler(
-      [this](Packet&& pkt, net::NodeId receiver) {
-        on_delivery_failed(std::move(pkt), receiver);
-      });
+      channel_(&channel),
+      beacon_timer_(sim, [this](std::uint64_t) { send_beacon(); }) {
+  reset(std::move(rng), config);
 }
 
 void AccessPoint::reset(sim::Rng rng, Config config) {
   rng_ = std::move(rng);
   config_ = config;
-  radio_.reset();
-  radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
+  sim::place(radio_, std::tie(*channel_), config.id);
+  radio_->set_receiver([this](Packet&& pkt, const Frame& frame) {
     on_radio_receive(std::move(pkt), frame);
   });
-  radio_.set_delivery_fail_handler(
+  radio_->set_delivery_fail_handler(
       [this](Packet&& pkt, net::NodeId receiver) {
         on_delivery_failed(std::move(pkt), receiver);
       });
@@ -46,7 +37,6 @@ void AccessPoint::reset(sim::Rng rng, Config config) {
   stations_in_use_ = 0;  // associate() recycles the parked slots
   ttl_drops_ = 0;
   beacons_sent_ = 0;
-  ps_buffered_total_ = 0;
   ps_polls_served_ = 0;
 }
 
@@ -113,7 +103,7 @@ void AccessPoint::send_beacon() {
     if (!state.ps_buffer.empty()) beacon.wifi.tim.push_back(state.sta);
   }
   ++beacons_sent_;
-  radio_.enqueue_priority(std::move(beacon), kBroadcastId);
+  radio_->enqueue_priority(std::move(beacon), kBroadcastId);
 }
 
 void AccessPoint::on_radio_receive(Packet&& packet, const Frame& frame) {
@@ -139,7 +129,7 @@ void AccessPoint::on_radio_receive(Packet&& packet, const Frame& frame) {
       Packet buffered = std::move(state->ps_buffer.front());
       state->ps_buffer.pop_front();
       buffered.wifi.more_data = !state->ps_buffer.empty();
-      radio_.enqueue(std::move(buffered), frame.transmitter);
+      radio_->enqueue(std::move(buffered), frame.transmitter);
       return;
     }
     case PacketType::wifi_beacon:
@@ -200,11 +190,10 @@ void AccessPoint::deliver_to_station(net::NodeId sta, Packet&& packet) {
   if (state == nullptr) return;
   if (state->dozing) {
     // Power-save buffering (§3.2.2): hold until the STA polls after a TIM.
-    ++ps_buffered_total_;
     state->ps_buffer.push_back(std::move(packet));
     return;
   }
-  radio_.enqueue(std::move(packet), sta);
+  radio_->enqueue(std::move(packet), sta);
 }
 
 void AccessPoint::flush_ps_buffer(StationState& state, net::NodeId sta) {
@@ -212,7 +201,7 @@ void AccessPoint::flush_ps_buffer(StationState& state, net::NodeId sta) {
     Packet pkt = std::move(state.ps_buffer.front());
     state.ps_buffer.pop_front();
     pkt.wifi.more_data = false;
-    radio_.enqueue(std::move(pkt), sta);
+    radio_->enqueue(std::move(pkt), sta);
   }
 }
 
@@ -222,7 +211,6 @@ void AccessPoint::on_delivery_failed(Packet&& packet, net::NodeId receiver) {
   StationState* state = station_state(receiver);
   if (state == nullptr) return;
   state->dozing = true;
-  ++ps_buffered_total_;
   state->ps_buffer.push_back(std::move(packet));
 }
 

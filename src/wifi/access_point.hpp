@@ -11,11 +11,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "sim/random.hpp"
+#include "sim/resettable.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "wifi/channel.hpp"
@@ -38,9 +40,9 @@ class AccessPoint : public net::Node {
   AccessPoint(sim::Simulator& sim, Channel& channel, sim::Rng rng,
               Config config);
 
-  /// Returns the AP to the state the constructor would leave it in with
-  /// these arguments. The association table and per-station power-save
-  /// buffers keep their warm storage (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp): attaches the radio, clears
+  /// the association table (per-station power-save buffers keep their warm
+  /// storage) and stops the beacons until start_beacons().
   void reset(sim::Rng rng, Config config);
 
   /// Connects the Ethernet port. Must be called before wired traffic.
@@ -57,7 +59,7 @@ class AccessPoint : public net::Node {
   void receive(net::Packet&& packet, net::Link* ingress) override;
   [[nodiscard]] net::NodeId id() const override { return config_.id; }
 
-  [[nodiscard]] Radio& radio() { return radio_; }
+  [[nodiscard]] Radio& radio() { return *radio_; }
 
   // Introspection for tests and the prober.
   [[nodiscard]] bool station_dozing(net::NodeId sta) const;
@@ -65,9 +67,6 @@ class AccessPoint : public net::Node {
   [[nodiscard]] int associated_listen_interval(net::NodeId sta) const;
   [[nodiscard]] std::uint64_t ttl_drops() const { return ttl_drops_; }
   [[nodiscard]] std::uint64_t beacons_sent() const { return beacons_sent_; }
-  [[nodiscard]] std::uint64_t ps_buffered_total() const {
-    return ps_buffered_total_;
-  }
   [[nodiscard]] std::uint64_t ps_polls_served() const {
     return ps_polls_served_;
   }
@@ -90,9 +89,10 @@ class AccessPoint : public net::Node {
   [[nodiscard]] const StationState* station_state(net::NodeId sta) const;
 
   sim::Simulator* sim_;
+  Channel* channel_;
   sim::Rng rng_;
   Config config_;
-  Radio radio_;
+  std::optional<Radio> radio_;
   net::Link* wired_ = nullptr;
   sim::PeriodicTimer beacon_timer_;
   // Association table in association order. Slots are recycled across
@@ -104,7 +104,6 @@ class AccessPoint : public net::Node {
   std::size_t stations_in_use_ = 0;
   std::uint64_t ttl_drops_ = 0;
   std::uint64_t beacons_sent_ = 0;
-  std::uint64_t ps_buffered_total_ = 0;
   std::uint64_t ps_polls_served_ = 0;
 };
 

@@ -15,7 +15,9 @@ using sim::expects;
 using sim::TimePoint;
 
 Channel::Channel(sim::Simulator& sim, sim::Rng rng, PhyParams phy)
-    : sim_(&sim), rng_(std::move(rng)), phy_(phy) {}
+    : sim_(&sim) {
+  reset(std::move(rng), phy);
+}
 
 void Channel::reset(sim::Rng rng, PhyParams phy) {
   rng_ = std::move(rng);
@@ -31,7 +33,8 @@ void Channel::reset(sim::Rng rng, PhyParams phy) {
 
 void Channel::attach_radio(Radio& radio) {
   expects(std::find(radios_.begin(), radios_.end(), &radio) == radios_.end(),
-          "Channel::attach_radio: radio already attached");
+          "Channel::attach_radio: radio already attached (reset the "
+          "channel before the radios on it)");
   for (const Radio* existing : radios_) {
     expects(existing->owner() != radio.owner(),
             "Channel::attach_radio: duplicate owner address");
@@ -100,7 +103,6 @@ void Channel::transmit(Radio& winner, TimePoint tx_start) {
   Radio::QueuedFrame queued = std::move(winner.head());
   winner.pop_head();
   winner.cw_ = phy_.cw_min;
-  ++winner.tx_count_;
   ++frames_transmitted_;
 
   const bool broadcast = queued.receiver == net::kBroadcastId;

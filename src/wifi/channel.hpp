@@ -50,18 +50,16 @@ class Channel {
   [[nodiscard]] const PhyParams& phy() const { return phy_; }
   [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
 
-  /// Radios self-register on construction.
+  /// Radios register themselves from Radio::reset (construction included).
   void attach_radio(Radio& radio);
   /// Removes a dying radio's registration; no-op if not attached (the
   /// channel may have been reset since). Called from ~Radio.
   void detach_radio(Radio& radio);
   void attach_observer(MediumObserver& observer);
 
-  /// Returns the channel to its freshly-constructed state (new rng stream,
-  /// new PHY, no radios or observers) while keeping the warm scratch and
-  /// list capacities. Radios must re-attach afterwards — Radio::reset does
-  /// — in the same order they were first constructed, so contention-round
-  /// iteration order matches a fresh build exactly.
+  /// New rng stream and PHY, no radios or observers; scratch and list
+  /// capacities stay warm. Radios re-attach through Radio::reset, in the
+  /// order their owners are placed (sim/resettable.hpp).
   void reset(sim::Rng rng, PhyParams phy);
 
   /// A radio signals that its queue became non-empty.

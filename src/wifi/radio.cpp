@@ -6,19 +6,18 @@
 
 namespace acute::wifi {
 
-Radio::Radio(Channel& channel, net::NodeId owner)
-    : channel_(&channel), owner_(owner) {
-  channel.attach_radio(*this);
+Radio::Radio(Channel& channel, net::NodeId owner) : channel_(&channel) {
+  reset(owner);
 }
 
 Radio::~Radio() { channel_->detach_radio(*this); }
 
-void Radio::reset() {
+void Radio::reset(net::NodeId owner) {
+  owner_ = owner;
   queue_.clear();
   queue_limit_ = 1000;
   receiving_ = true;
   cw_ = 0;
-  tx_count_ = 0;
   rx_count_ = 0;
   dropped_count_ = 0;
   channel_->attach_radio(*this);  // re-registers and re-seeds cw_ from phy

@@ -59,7 +59,6 @@ class Radio {
   [[nodiscard]] bool receiving() const { return receiving_; }
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-  [[nodiscard]] std::uint64_t tx_count() const { return tx_count_; }
   [[nodiscard]] std::uint64_t rx_count() const { return rx_count_; }
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_count_; }
 
@@ -67,11 +66,11 @@ class Radio {
   /// (saturated sources must not grow memory without bound).
   void set_queue_limit(std::size_t limit) { queue_limit_ = limit; }
 
-  /// Returns the radio to its freshly-constructed state and re-registers
-  /// it with its channel (which must have been reset first, emptying its
-  /// radio list). The queue keeps its warm storage; callbacks are kept —
-  /// the owner re-assigns them in its own reset, mirroring its ctor.
-  void reset();
+  /// Empties the queue (storage stays warm), restores the defaults and
+  /// attaches the radio to its channel as `owner`. The channel must be
+  /// fresh or reset since this radio last attached (attach_radio rejects a
+  /// second attach). Callbacks are kept.
+  void reset(net::NodeId owner);
 
  private:
   friend class Channel;
@@ -88,7 +87,7 @@ class Radio {
   void pop_head() { queue_.pop_front(); }
 
   Channel* channel_;
-  net::NodeId owner_;
+  net::NodeId owner_ = 0;
   RxFn on_receive_;
   TxDoneFn on_tx_done_;
   DeliveryFailFn on_delivery_fail_;
@@ -96,7 +95,6 @@ class Radio {
   std::size_t queue_limit_ = 1000;
   bool receiving_ = true;
   int cw_ = 0;  // current contention window (slots); set from phy on attach
-  std::uint64_t tx_count_ = 0;
   std::uint64_t rx_count_ = 0;
   std::uint64_t dropped_count_ = 0;
 };

@@ -6,8 +6,10 @@ namespace acute::wifi {
 
 using sim::Duration;
 
-Sniffer::Sniffer(std::string name, sim::Rng rng, Duration timestamp_noise)
-    : name_(std::move(name)), rng_(std::move(rng)), noise_(timestamp_noise) {}
+Sniffer::Sniffer(const std::string& name, sim::Rng rng,
+                 Duration timestamp_noise) {
+  reset(name, std::move(rng), timestamp_noise);
+}
 
 void Sniffer::reset(const std::string& name, sim::Rng rng,
                     Duration timestamp_noise) {

@@ -31,12 +31,11 @@ class Sniffer : public MediumObserver {
 
   /// `timestamp_noise` models radiotap clock error: each capture time is
   /// perturbed by U(-noise, +noise). Zero by default.
-  Sniffer(std::string name, sim::Rng rng,
+  Sniffer(const std::string& name, sim::Rng rng,
           sim::Duration timestamp_noise = sim::Duration{});
 
-  /// Returns the sniffer to the state the constructor would leave it in
-  /// with these arguments; the capture log keeps its warm storage
-  /// (shard-context reuse contract).
+  /// The one setup path (sim/resettable.hpp); the capture log keeps its
+  /// warm storage.
   void reset(const std::string& name, sim::Rng rng,
              sim::Duration timestamp_noise);
 

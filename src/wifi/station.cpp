@@ -23,34 +23,9 @@ constexpr std::uint32_t kNullFrameBytes = 28;
 Station::Station(sim::Simulator& sim, Channel& channel, sim::Rng rng,
                  Config config)
     : sim_(&sim),
-      rng_(std::move(rng)),
-      config_(config),
-      radio_(channel, config.id),
+      channel_(&channel),
       doze_timer_(sim, [this] { enter_doze(); }) {
-  expects(config.psm_timeout > Duration{},
-          "Station PSM timeout must be positive");
-  expects(config.psm_tick > Duration{}, "Station PSM tick must be positive");
-  expects(config.actual_listen_interval >= 0,
-          "Station listen interval must be >= 0");
-  expects(config.beacon_miss_probability >= 0.0 &&
-              config.beacon_miss_probability <= 1.0,
-          "Station beacon miss probability must be in [0, 1]");
-
-  radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
-    on_radio_receive(std::move(pkt), frame);
-  });
-  radio_.set_tx_done([this](const Frame& frame) {
-    if (doze_pending_ && frame.packet.id == pending_null_id_) {
-      doze_pending_ = false;
-      state_ = PowerState::dozing;
-      radio_.set_receiving(false);
-      ++doze_count_;
-      schedule_beacon_wake();
-    }
-  });
-
-  last_activity_ = sim_->now();
-  if (config_.psm_enabled) arm_doze_timer();
+  reset(std::move(rng), config);
 }
 
 void Station::reset(sim::Rng rng, Config config) {
@@ -65,15 +40,17 @@ void Station::reset(sim::Rng rng, Config config) {
 
   rng_ = std::move(rng);
   config_ = config;
-  radio_.reset();
-  radio_.set_receiver([this](Packet&& pkt, const Frame& frame) {
+  // The radio attaches to the channel here, on construction and on every
+  // reuse alike (sim/resettable.hpp).
+  sim::place(radio_, std::tie(*channel_), config.id);
+  radio_->set_receiver([this](Packet&& pkt, const Frame& frame) {
     on_radio_receive(std::move(pkt), frame);
   });
-  radio_.set_tx_done([this](const Frame& frame) {
+  radio_->set_tx_done([this](const Frame& frame) {
     if (doze_pending_ && frame.packet.id == pending_null_id_) {
       doze_pending_ = false;
       state_ = PowerState::dozing;
-      radio_.set_receiving(false);
+      radio_->set_receiving(false);
       ++doze_count_;
       schedule_beacon_wake();
     }
@@ -91,11 +68,6 @@ void Station::reset(sim::Rng rng, Config config) {
   doze_count_ = 0;
   wake_count_ = 0;
   ps_polls_sent_ = 0;
-  beacons_heard_ = 0;
-
-  // Same tail as the constructor: the doze-timer arming draw (and its
-  // scheduled event) happens at exactly the same point in the rng stream
-  // and event sequence as on a fresh build.
   last_activity_ = sim_->now();
   if (config_.psm_enabled) arm_doze_timer();
 }
@@ -126,7 +98,7 @@ void Station::enter_doze() {
   null_frame.wifi.power_mgmt = true;
   pending_null_id_ = null_frame.id;
   doze_pending_ = true;
-  radio_.enqueue(std::move(null_frame), config_.ap);
+  radio_->enqueue(std::move(null_frame), config_.ap);
 }
 
 void Station::wake_to_cam() {
@@ -138,7 +110,7 @@ void Station::wake_to_cam() {
     ++wake_count_;
     state_ = PowerState::cam;
   }
-  radio_.set_receiving(true);
+  radio_->set_receiving(true);
   mark_activity();
 }
 
@@ -149,13 +121,13 @@ void Station::send(Packet&& packet) {
   } else {
     mark_activity();
   }
-  radio_.enqueue(std::move(packet), config_.ap);
+  radio_->enqueue(std::move(packet), config_.ap);
 }
 
 void Station::schedule_beacon_wake() {
   if (!tbtt_known_) {
     // Never synchronized: keep listening until the first beacon arrives.
-    radio_.set_receiving(true);
+    radio_->set_receiving(true);
     return;
   }
   const Duration interval = beacon_interval();
@@ -168,12 +140,11 @@ void Station::schedule_beacon_wake() {
   const TimePoint wake_at =
       tbtt_anchor_ + interval * k - config_.wake_guard;
   beacon_wake_ = sim_->schedule_at(std::max(wake_at, sim_->now()), [this] {
-    if (state_ == PowerState::dozing) radio_.set_receiving(true);
+    if (state_ == PowerState::dozing) radio_->set_receiving(true);
   });
 }
 
 void Station::handle_beacon(const Packet& beacon) {
-  ++beacons_heard_;
   if (beacon.wifi.tbtt.has_value()) {
     tbtt_anchor_ = *beacon.wifi.tbtt;
     tbtt_known_ = true;
@@ -191,7 +162,7 @@ void Station::handle_beacon(const Packet& beacon) {
           Packet::make(PacketType::wifi_null, Protocol::wifi_mgmt, config_.id,
                        config_.ap, kNullFrameBytes);
       null_frame.wifi.power_mgmt = false;
-      radio_.enqueue(std::move(null_frame), config_.ap);
+      radio_->enqueue(std::move(null_frame), config_.ap);
     }
     return;
   }
@@ -206,7 +177,7 @@ void Station::handle_beacon(const Packet& beacon) {
     return;  // radio stays on for the buffered frames
   }
   // Nothing for us (or the TIM was missed): back to sleep.
-  radio_.set_receiving(false);
+  radio_->set_receiving(false);
   schedule_beacon_wake();
 }
 
@@ -215,7 +186,7 @@ void Station::send_ps_poll() {
                              config_.id, config_.ap, kPsPollBytes);
   poll.wifi.power_mgmt = true;  // still formally in PS mode while polling
   ++ps_polls_sent_;
-  radio_.enqueue(std::move(poll), config_.ap);
+  radio_->enqueue(std::move(poll), config_.ap);
 }
 
 void Station::deliver_up(Packet&& packet, const Frame& frame) {

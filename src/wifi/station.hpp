@@ -16,9 +16,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
+#include "sim/resettable.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 #include "stack/stack_layer.hpp"
@@ -57,11 +59,9 @@ class Station : public stack::StackLayer {
 
   Station(sim::Simulator& sim, Channel& channel, sim::Rng rng, Config config);
 
-  /// Returns the station to the state the constructor would leave it in
-  /// with these arguments (same rng stream, same doze-timer arming draw and
-  /// schedule). Requires the owning simulator and channel to have been
-  /// reset first. Part of the shard-context reuse contract: a reset station
-  /// is bit-identical to a freshly constructed one.
+  /// The one setup path (sim/resettable.hpp): validates `config`, attaches
+  /// the radio and, with PSM on, arms the doze timer. On reuse the
+  /// simulator and the channel must have been reset first.
   void reset(sim::Rng rng, Config config);
 
   /// Upward delivery (to the WNIC driver): payload + air metadata. Used when
@@ -83,13 +83,12 @@ class Station : public stack::StackLayer {
 
   [[nodiscard]] PowerState power_state() const { return state_; }
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] Radio& radio() { return radio_; }
+  [[nodiscard]] Radio& radio() { return *radio_; }
 
   // Statistics for tests and the timeout prober.
   [[nodiscard]] std::uint64_t doze_count() const { return doze_count_; }
   [[nodiscard]] std::uint64_t wake_count() const { return wake_count_; }
   [[nodiscard]] std::uint64_t ps_polls_sent() const { return ps_polls_sent_; }
-  [[nodiscard]] std::uint64_t beacons_heard() const { return beacons_heard_; }
 
  private:
   void on_radio_receive(net::Packet&& packet, const Frame& frame);
@@ -103,9 +102,10 @@ class Station : public stack::StackLayer {
   void send_ps_poll();
 
   sim::Simulator* sim_;
+  Channel* channel_;
   sim::Rng rng_;
   Config config_;
-  Radio radio_;
+  std::optional<Radio> radio_;
   RxFn on_receive_;
   PowerState state_ = PowerState::cam;
   sim::OneShotTimer doze_timer_;
@@ -121,7 +121,6 @@ class Station : public stack::StackLayer {
   std::uint64_t doze_count_ = 0;
   std::uint64_t wake_count_ = 0;
   std::uint64_t ps_polls_sent_ = 0;
-  std::uint64_t beacons_heard_ = 0;
 };
 
 }  // namespace acute::wifi

@@ -5,8 +5,9 @@
 // their exact IEEE-754 serialization), JSONL export bytes and checkpoint
 // records — for any worker count and across kill/resume ticks. The grid
 // deliberately changes shape between consecutive shards (phone count,
-// radio, tool kind, netem axes) so every reset transition of the pool is
-// exercised, not just the same-shape fast path.
+// radio, cross traffic, tool kind, passive vantages, netem axes) so every
+// reset transition of the pool is exercised, not just the same-shape fast
+// path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,37 +43,54 @@ std::string file_bytes(const std::string& path) {
   return out.str();
 }
 
-/// Exact serialization of a digest vector: write_digest emits the IEEE-754
-/// bit patterns of every centroid, so equal strings mean equal bits.
+/// Exact serialization of a digest vector, passive accumulators included:
+/// write_digest emits the IEEE-754 bit patterns of every centroid, so equal
+/// strings mean equal bits.
 std::string digest_bytes(const std::vector<report::WorkloadDigest>& digests) {
   std::ostringstream out;
   for (const report::WorkloadDigest& digest : digests) {
     out << static_cast<int>(digest.tool) << ' ' << digest.probes << ' '
-        << digest.lost << '\n';
+        << digest.lost << ' ' << digest.passive_sniffer_samples << ' '
+        << digest.passive_app_samples << '\n';
     stats::write_digest(out, digest.reported_rtt_ms);
     stats::write_digest(out, digest.du_ms);
     stats::write_digest(out, digest.dk_ms);
     stats::write_digest(out, digest.dv_ms);
     stats::write_digest(out, digest.dn_ms);
+    stats::write_digest(out, digest.passive_sniffer_rtt_ms);
+    stats::write_digest(out, digest.passive_app_rtt_ms);
   }
   return out.str();
 }
 
+WorkloadSpec workload(tools::ToolKind tool,
+                      passive::PassiveVantage vantage =
+                          passive::PassiveVantage::none) {
+  WorkloadSpec spec;
+  spec.tool = tool;
+  spec.passive = vantage;
+  return spec;
+}
+
 /// A grid whose consecutive shards change shape: the innermost axis flips
-/// the tool kind, then loss, then RTT, then the radio, then the phone
-/// count — so a context that just ran a 1-phone WiFi ping shard is next
-/// reset into (eventually) a 3-phone cellular AcuteMon shard.
+/// the tool kind (httping with both passive vantages attached), then loss,
+/// then cross traffic, then RTT, then the radio, then the phone count — so
+/// a context that just ran a 1-phone WiFi ping shard is next reset into
+/// (eventually) a 3-phone cellular AcuteMon shard under iPerf load.
 CampaignSpec shape_shifting_spec() {
   ScenarioGrid grid;
   grid.phone_counts = {1, 3};
   grid.radios = {phone::RadioKind::wifi, phone::RadioKind::cellular};
   grid.emulated_rtts = {Duration::millis(10), Duration::millis(30)};
+  grid.cross_traffic = {false, true};
   grid.loss_rates = {0.0, 0.05};
-  grid.workloads = {WorkloadSpec{tools::ToolKind::icmp_ping},
-                    WorkloadSpec{tools::ToolKind::acutemon}};
+  grid.workloads = {
+      workload(tools::ToolKind::icmp_ping), workload(tools::ToolKind::acutemon),
+      workload(tools::ToolKind::httping, passive::PassiveVantage::both),
+      workload(tools::ToolKind::java_ping)};
   CampaignSpec spec;
   spec.seed = 7;
-  spec.scenarios = grid.expand();  // 32 shards
+  spec.scenarios = grid.expand();  // 128 shards
   spec.probes_per_phone = 2;
   spec.probe_interval = Duration::millis(50);
   spec.probe_timeout = Duration::millis(400);
@@ -117,6 +135,8 @@ TEST(CampaignContextReuse, RawSampleVectorsMatchFresh) {
     EXPECT_EQ(fresh.dk_ms, reused.dk_ms);
     EXPECT_EQ(fresh.dv_ms, reused.dv_ms);
     EXPECT_EQ(fresh.dn_ms, reused.dn_ms);
+    EXPECT_EQ(fresh.passive_sniffer_rtt_ms, reused.passive_sniffer_rtt_ms);
+    EXPECT_EQ(fresh.passive_app_rtt_ms, reused.passive_app_rtt_ms);
   }
 }
 
@@ -166,14 +186,14 @@ TEST(CampaignContextReuse, CheckpointTicksMatchUninterruptedRun) {
   const std::string reference_digests =
       digest_bytes(reference.workload_digests());
 
-  // Ticked: 8-worker increments of at most 12 shards, a fresh Campaign per
+  // Ticked: 8-worker increments of at most 48 shards, a fresh Campaign per
   // tick — nothing but the checkpoint file carries state across ticks.
   TempFile ticked_ckpt("ticked.ckpt");
   CampaignReport ticked;
   for (int tick = 0; tick < 4; ++tick) {
     CampaignSpec tick_spec = shape_shifting_spec();
     tick_spec.checkpoint_path = ticked_ckpt.path;
-    tick_spec.max_shards = 12;
+    tick_spec.max_shards = 48;
     ticked = Campaign(tick_spec).run(8);
     if (ticked.completed_shards() == ticked.shard_count()) break;
   }
