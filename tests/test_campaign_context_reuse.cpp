@@ -99,10 +99,27 @@ CampaignSpec shape_shifting_spec() {
   return spec;
 }
 
+/// Shard indices tool-major: every shard of the first workload, then the
+/// second's, and so on (the workload is the grid's innermost axis). Each
+/// step keeps the tool kind while phone count, radio, RTT, cross traffic
+/// or loss shift, so a context reinitializes its tools instead of
+/// replacing them. The natural order, where the tool kind flips every
+/// shard, runs in the single-worker sweeps below.
+std::vector<std::size_t> tool_major_order(std::size_t shard_count) {
+  const std::size_t tool_count = 4;  // shape_shifting_spec's workloads
+  std::vector<std::size_t> order;
+  for (std::size_t tool = 0; tool < tool_count; ++tool) {
+    for (std::size_t i = tool; i < shard_count; i += tool_count) {
+      order.push_back(i);
+    }
+  }
+  return order;
+}
+
 TEST(CampaignContextReuse, ReusedShardsMatchFreshBitForBit) {
   Campaign campaign(shape_shifting_spec());
   ShardContext context;
-  for (std::size_t i = 0; i < campaign.scenario_count(); ++i) {
+  for (const std::size_t i : tool_major_order(campaign.scenario_count())) {
     const ShardResult fresh = campaign.run_shard(i);
     const ShardResult reused = campaign.run_shard(i, context);
     ASSERT_TRUE(fresh.completed);
@@ -127,7 +144,7 @@ TEST(CampaignContextReuse, RawSampleVectorsMatchFresh) {
   spec.keep_samples = true;
   Campaign campaign(spec);
   ShardContext context;
-  for (std::size_t i = 0; i < campaign.scenario_count(); ++i) {
+  for (const std::size_t i : tool_major_order(campaign.scenario_count())) {
     const ShardResult fresh = campaign.run_shard(i);
     const ShardResult reused = campaign.run_shard(i, context);
     EXPECT_EQ(fresh.reported_rtt_ms, reused.reported_rtt_ms);
